@@ -149,7 +149,8 @@ OBSERVABILITY:
                     up N seconds after the run so scrapers can catch it
   --journal FILE    serve-replay: append every alarm's provenance (arrival,
                     release watermark, per-stage timings) as NDJSON; summarise
-                    with `cargo run -p xtask -- alarm-latency --journal FILE`
+                    with `cargo run -p xtask -- alarm-latency --journal FILE`.
+                    Only this flag makes the engine stamp arrivals
   --batch-size N    serve-replay: feed the engine in N-item batches and observe
                     per-shard health between batches (0 = one batch)
   --checkpoint-every N  serve-replay: write a navarchos-checkpoint/v1 snapshot
@@ -879,6 +880,9 @@ fn cmd_serve_replay(flags: &BTreeMap<String, String>) -> Result<(), String> {
         engine = ShardedIngest::new(&names, cfg.clone());
         alarms = Vec::new();
     }
+    // Provenance costs clock reads per record, so only the journal turns
+    // it on.
+    engine.set_provenance(flags.contains_key("journal"));
     let cursor_at_start = cursor;
     let mut checkpoint_writes = 0usize;
     let mut transitions = Vec::new();

@@ -12,7 +12,7 @@ use crate::reference::{ReferenceProfile, ResetPolicy};
 use crate::threshold::SelfTuningThreshold;
 use navarchos_obs as obs;
 use navarchos_stat::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
-use navarchos_tsframe::{FilterSpec, Frame, Transform, TransformKind};
+use navarchos_tsframe::{FilterSpec, Frame, RowFilter, Transform, TransformKind};
 
 /// Pipeline configuration (one vehicle's instantiation of the framework).
 #[derive(Debug, Clone)]
@@ -235,7 +235,8 @@ fn ns_since(t: Instant) -> u64 {
 #[derive(Debug)]
 pub struct StreamingPipeline {
     cfg: PipelineConfig,
-    input_names: Vec<String>,
+    /// `cfg.filter` resolved against the input names at construction.
+    row_filter: RowFilter,
     transform: Box<dyn Transform>,
     detector: Box<dyn Detector>,
     profile: ReferenceProfile,
@@ -282,8 +283,8 @@ impl StreamingPipeline {
             threshold: SelfTuningThreshold::new(channels, cfg.threshold_factor),
             transform,
             detector,
+            row_filter: cfg.filter.resolve(&input_names),
             cfg,
-            input_names,
             channel_names,
             phase: Phase::FillingReference,
             feat: vec![0.0; dim],
@@ -396,7 +397,7 @@ impl StreamingPipeline {
         } else {
             None
         };
-        let kept = self.cfg.filter.keep_row(&self.input_names, row);
+        let kept = self.row_filter.keep(row);
         if let Some(t0) = clock {
             self.stats.filter_ns.record(ns_since(t0));
             clock = Some(Instant::now());

@@ -288,10 +288,11 @@ pub fn run_vehicle(
     // per-record stage clocks (mask 0 = every record).
     let probe_mask = obs::probe_sample_mask();
     let mut vobs = VehicleObs::default();
-    let input_names: Vec<String> = frame.names().to_vec();
+    let input_names = frame.names();
+    let row_filter = params.filter.resolve(input_names);
     let mut transform = build_transform(
         params.transform,
-        &input_names,
+        input_names,
         params.window,
         params.stride,
         &params.corr_floors,
@@ -403,7 +404,7 @@ pub fn run_vehicle(
             None
         };
         frame.row_into(i, &mut row_buf);
-        let kept = params.filter.keep_row(&input_names, &row_buf);
+        let kept = row_filter.keep(&row_buf);
         if let Some(t0) = clock {
             vobs.filter_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0);
             clock = Some(Instant::now());

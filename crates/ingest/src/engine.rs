@@ -19,13 +19,18 @@
 //! a per-shard `ingest.shardNN.queue_depth` histogram through a
 //! `BatchedRecorder`, flushed on [`ShardedIngest::finish`].
 //!
-//! The live ops plane adds three always-available facets: a per-shard
+//! The live ops plane adds two always-available facets: a per-shard
 //! `ingest.shardNN.records` counter (so scrape deltas yield per-shard
-//! throughput), a per-shard `ingest.shardNN.health` gauge driven by the
-//! [`crate::health`] state machine via [`ShardedIngest::observe_health`],
-//! and an [`AlarmProvenance`] entry per emitted alarm (arrival/release/
-//! emission stamps + release watermark) drained through
+//! throughput) and a per-shard `ingest.shardNN.health` gauge driven by the
+//! [`crate::health`] state machine via [`ShardedIngest::observe_health`].
+//!
+//! Alarm provenance is journal-only. After [`ShardedIngest::set_provenance`]
+//! opts in, every arrival is stamped with the monotonic clock and every
+//! emitted alarm leaves an [`AlarmProvenance`] entry (arrival/release/
+//! emission stamps + release watermark), drained through
 //! [`ShardedIngest::drain_provenance`] into the CLI's NDJSON journal.
+//! Without the opt-in the per-record path reads no clock, in-flight items
+//! carry arrival stamp 0 and the engine holds no provenance at all.
 
 use navarchos_core::pipeline::{Alarm, PipelineConfig, StreamingPipeline};
 use navarchos_core::{par_map_mut, DetectorKind, TransformKind};
@@ -39,10 +44,11 @@ use crate::reorder::{PushOutcome, ReorderBuffer, SeqKey, Sequenced};
 use crate::router::ShardRouter;
 
 /// A stream item plus the wall-clock (monotonic) moment the engine first
-/// saw it. The arrival stamp rides through the reorder buffer so alarm
-/// provenance can attribute latency to buffering vs. pipeline work; it is
-/// deliberately ignored by [`Sequenced::identical`] — a duplicate is a
-/// duplicate no matter when its copies arrived.
+/// saw it (0 unless provenance is on). The arrival stamp rides through
+/// the reorder buffer so alarm provenance can attribute latency to
+/// buffering vs. pipeline work; it is deliberately ignored by
+/// [`Sequenced::identical`] — a duplicate is a duplicate no matter when
+/// its copies arrived.
 #[derive(Debug, Clone)]
 struct Arrival {
     item: StreamItem,
@@ -60,9 +66,10 @@ impl Sequenced for Arrival {
 }
 
 /// Serialises one in-flight arrival for checkpoints and migration. The
-/// arrival stamp travels too: [`AlarmProvenance`] subtracts stamps with
-/// `saturating_sub`, so a stamp from a previous process (a different
-/// monotonic epoch) degrades a latency reading, never an alarm.
+/// arrival stamp travels too (0 when provenance was off; the layout is the
+/// same): [`AlarmProvenance`] subtracts stamps with `saturating_sub`, so a
+/// stamp from a previous process (a different monotonic epoch) degrades a
+/// latency reading, never an alarm.
 fn write_arrival(w: &mut SnapWriter, a: &Arrival) {
     w.put_u32(a.item.vehicle);
     w.put_i64(a.item.timestamp);
@@ -158,9 +165,11 @@ impl IngestConfig {
 /// Where an alarm's latency went: one journal entry per alarm emitted by
 /// the engine, linking event time (the alarm's timestamp and the release
 /// watermark, both epoch seconds) with processing time (monotonic
-/// nanoseconds at arrival, release and emission). Collected always-on —
-/// alarms are rare, so the cost is a few stores per alarm — and drained
-/// via [`ShardedIngest::drain_provenance`].
+/// nanoseconds at arrival, release and emission). Collected only after
+/// [`ShardedIngest::set_provenance`] opts in — alarms are not rare (about
+/// one per ten records on a dirty fleet stream), and stamping costs two
+/// clock reads per record plus a channel-name clone per alarm — and
+/// drained via [`ShardedIngest::drain_provenance`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlarmProvenance {
     /// Vehicle whose pipeline raised the alarm.
@@ -441,6 +450,9 @@ struct Shard {
     stats: IngestStats,
     dead: Vec<DeadLetter>,
     obs: ShardObs,
+    /// Whether arrivals are stamped and alarms leave provenance (see
+    /// [`ShardedIngest::set_provenance`]).
+    provenance_on: bool,
     /// Provenance of every alarm this shard emitted, pending drain.
     provenance: Vec<AlarmProvenance>,
     /// Scratch for reorder-buffer releases, reused across items.
@@ -458,6 +470,7 @@ impl Shard {
             stats: IngestStats::default(),
             dead: Vec::new(),
             obs: ShardObs::new(index),
+            provenance_on: false,
             provenance: Vec::new(),
             released: Vec::new(),
         }
@@ -510,7 +523,7 @@ impl Shard {
 
     fn process(&mut self, item: StreamItem, alarms: &mut Vec<FleetAlarm>) {
         let metrics_on = obs::metrics_enabled();
-        let arrival_ns = obs::elapsed_ns();
+        let arrival_ns = if self.provenance_on { obs::elapsed_ns() } else { 0 };
         match &item.body {
             StreamBody::Record(row) => {
                 self.stats.records += 1;
@@ -597,26 +610,28 @@ impl Shard {
         match &item.body {
             StreamBody::Maintenance { is_repair } => lane.pipeline.process_event(*is_repair),
             StreamBody::Record(row) => {
-                let release_ns = obs::elapsed_ns();
+                let release_ns = if self.provenance_on { obs::elapsed_ns() } else { 0 };
                 let raised = lane.pipeline.process_record(item.timestamp, row);
                 if !raised.is_empty() {
                     self.stats.alarms += raised.len() as u64;
                     if obs::metrics_enabled() {
                         self.obs.alarms.add(raised.len() as u64);
                     }
-                    let emit_ns = obs::elapsed_ns();
-                    let watermark_ts = lane.buffer.watermark().unwrap_or(item.timestamp);
-                    for alarm in &raised {
-                        self.provenance.push(AlarmProvenance {
-                            vehicle: lane.vehicle,
-                            shard: self.index,
-                            alarm_timestamp: alarm.timestamp,
-                            channel_name: alarm.channel_name.clone(),
-                            watermark_ts,
-                            arrival_ns: arrival.arrival_ns,
-                            release_ns,
-                            emit_ns,
-                        });
+                    if self.provenance_on {
+                        let emit_ns = obs::elapsed_ns();
+                        let watermark_ts = lane.buffer.watermark().unwrap_or(item.timestamp);
+                        for alarm in &raised {
+                            self.provenance.push(AlarmProvenance {
+                                vehicle: lane.vehicle,
+                                shard: self.index,
+                                alarm_timestamp: alarm.timestamp,
+                                channel_name: alarm.channel_name.clone(),
+                                watermark_ts,
+                                arrival_ns: arrival.arrival_ns,
+                                release_ns,
+                                emit_ns,
+                            });
+                        }
                     }
                     alarms.extend(
                         raised.into_iter().map(|alarm| FleetAlarm { vehicle: lane.vehicle, alarm }),
@@ -959,9 +974,24 @@ impl ShardedIngest {
         out
     }
 
+    /// Opts alarm provenance in or out (off on a new or restored engine).
+    /// On, every arrival is stamped with the monotonic clock and every
+    /// alarm leaves an [`AlarmProvenance`] entry until the next
+    /// [`ShardedIngest::drain_provenance`]; this is what
+    /// `serve-replay --journal` turns on. Off, the engine reads no clock
+    /// per record and holds no provenance. Items already in flight keep
+    /// the stamps they arrived with (0 if they arrived with provenance
+    /// off), so their entries overstate buffer wait: a latency reading
+    /// degrades, never an alarm.
+    pub fn set_provenance(&mut self, on: bool) {
+        for shard in &mut self.shards {
+            shard.provenance_on = on;
+        }
+    }
+
     /// Takes the provenance of every alarm emitted since the last drain
     /// (arrival order within each shard, shards concatenated in index
-    /// order).
+    /// order). Empty unless [`ShardedIngest::set_provenance`] opted in.
     pub fn drain_provenance(&mut self) -> Vec<AlarmProvenance> {
         let mut out = Vec::new();
         for shard in &mut self.shards {
@@ -1205,6 +1235,7 @@ mod tests {
     #[test]
     fn every_alarm_carries_provenance() {
         let mut engine = ShardedIngest::new(&["a", "b"], tiny_config(1));
+        engine.set_provenance(true);
         let mut alarms = engine.ingest_batch(breaking_items(240));
         alarms.extend(engine.finish());
         assert!(!alarms.is_empty(), "the correlation break must alarm");
@@ -1224,15 +1255,18 @@ mod tests {
 
     #[test]
     fn provenance_is_identical_with_metrics_off_and_on() {
-        // Provenance is always-on; flipping metrics must not change what
-        // the journal sees (timestamps differ, shape and counts do not).
+        // Provenance rides on its own opt-in, not on metrics; flipping
+        // metrics must not change what the journal sees (timestamps
+        // differ, shape and counts do not).
         let was = obs::metrics_enabled();
         obs::set_metrics_enabled(false);
         let mut off = ShardedIngest::new(&["a", "b"], tiny_config(1));
+        off.set_provenance(true);
         let _ = off.ingest_batch(breaking_items(240));
         let _ = off.finish();
         obs::set_metrics_enabled(true);
         let mut on = ShardedIngest::new(&["a", "b"], tiny_config(1));
+        on.set_provenance(true);
         let _ = on.ingest_batch(breaking_items(240));
         let _ = on.finish();
         obs::set_metrics_enabled(was);
@@ -1241,6 +1275,29 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!((x.vehicle, x.alarm_timestamp), (y.vehicle, y.alarm_timestamp));
         }
+    }
+
+    #[test]
+    fn provenance_is_journal_only() {
+        // Without the opt-in the engine keeps no provenance, whatever the
+        // alarm volume, and serves exactly the same alarms.
+        let mut plain = ShardedIngest::new(&["a", "b"], tiny_config(1));
+        let mut served = plain.ingest_batch(breaking_items(240));
+        served.extend(plain.finish());
+        assert!(!served.is_empty(), "the correlation break must alarm");
+        assert!(plain.drain_provenance().is_empty(), "no opt-in, no provenance");
+        let mut journaled = ShardedIngest::new(&["a", "b"], tiny_config(1));
+        journaled.set_provenance(true);
+        let mut again = journaled.ingest_batch(breaking_items(240));
+        again.extend(journaled.finish());
+        assert_eq!(served, again, "provenance never changes what is served");
+        assert_eq!(journaled.drain_provenance().len(), again.len());
+        // Switching back off stops the bookkeeping.
+        let mut toggled = ShardedIngest::new(&["a", "b"], tiny_config(1));
+        toggled.set_provenance(true);
+        toggled.set_provenance(false);
+        assert!(!toggled.ingest_batch(breaking_items(240)).is_empty());
+        assert!(toggled.drain_provenance().is_empty());
     }
 
     #[test]

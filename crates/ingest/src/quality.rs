@@ -36,11 +36,14 @@
 //! engine exports the rolling fractions as `ingest.quality.v*.{nan_bp,
 //! gap_bp,drift_mz}` gauges.
 //!
-//! Memory is bounded: one `f64` ring per channel plus one gap ring per
-//! vehicle, all of length `window`.
+//! Memory is bounded and sized once, at construction: a `window ×
+//! channels` slab of raw cells and a `window`-long gap ring per vehicle,
+//! both FIFO rings addressed by a head index. The drift gates'
+//! denominators (reference std and range) are computed once, when the
+//! reference freezes, so a record costs one pass over its cells plus a
+//! few counter updates.
 
 use navarchos_stat::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
-use std::collections::VecDeque;
 
 /// Thresholds and window lengths for one vehicle's monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,22 +110,71 @@ pub struct QualitySnapshot {
     pub records: u64,
 }
 
-/// One channel's reference statistics plus rolling-window state.
+/// Head/length bookkeeping of a fixed-capacity FIFO laid out in a slab:
+/// entry `k` (0 = oldest) lives in slot `(head + k) % capacity`.
+#[derive(Debug, Clone, Copy)]
+struct RingIndex {
+    capacity: usize,
+    head: usize,
+    len: usize,
+}
+
+impl RingIndex {
+    /// `capacity` slots holding `len` entries, the oldest in slot 0: an
+    /// empty ring, or a freshly restored one.
+    fn new(capacity: usize, len: usize) -> RingIndex {
+        RingIndex { capacity, head: 0, len }
+    }
+
+    /// The slot the next push writes and whether that evicts the oldest
+    /// entry; `None` for a zero-capacity ring, which evicts every push at
+    /// once.
+    fn next_slot(&self) -> Option<(usize, bool)> {
+        if self.capacity == 0 {
+            None
+        } else if self.len == self.capacity {
+            Some((self.head, true))
+        } else {
+            let slot = self.head + self.len;
+            Some((if slot >= self.capacity { slot - self.capacity } else { slot }, false))
+        }
+    }
+
+    /// Records the push [`RingIndex::next_slot`] described.
+    fn advance(&mut self) {
+        if self.len < self.capacity {
+            self.len += 1;
+        } else if self.capacity > 0 {
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
+        }
+    }
+
+    /// Occupied slots, oldest first.
+    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len).map(move |k| (self.head + k) % self.capacity)
+    }
+}
+
+/// One channel's reference statistics plus the finite cells of its
+/// column of the window.
 #[derive(Debug, Clone)]
 struct ChannelQuality {
     // Welford accumulator until `reference_len` finite samples, then
-    // frozen into (ref_mean, ref_std).
+    // frozen.
     ref_count: usize,
     ref_mean: f64,
     ref_m2: f64,
     ref_min: f64,
     ref_max: f64,
     frozen: bool,
-    // Rolling window of raw cell values (NaN kept — it is the signal).
-    ring: VecDeque<f64>,
+    // The drift gates' denominators, cached by `freeze`.
+    z_denom: f64,
+    range: f64,
     finite_sum: f64,
     finite_count: usize,
-    nan_count: usize,
 }
 
 impl ChannelQuality {
@@ -134,133 +186,119 @@ impl ChannelQuality {
             ref_min: f64::INFINITY,
             ref_max: f64::NEG_INFINITY,
             frozen: false,
-            ring: VecDeque::new(),
+            z_denom: 0.0,
+            range: 0.0,
             finite_sum: 0.0,
             finite_count: 0,
-            nan_count: 0,
         }
     }
 
-    fn push(&mut self, v: f64, reference_len: usize, window: usize) {
-        if !self.frozen && v.is_finite() {
-            self.ref_count += 1;
-            let delta = v - self.ref_mean;
-            self.ref_mean += delta / self.ref_count as f64;
-            self.ref_m2 += delta * (v - self.ref_mean);
-            self.ref_min = self.ref_min.min(v);
-            self.ref_max = self.ref_max.max(v);
-            if self.ref_count >= reference_len {
-                self.frozen = true;
-            }
+    /// Folds a cell into the reference until it freezes; true when this
+    /// cell froze it.
+    fn absorb(&mut self, v: f64, reference_len: usize) -> bool {
+        if self.frozen || !v.is_finite() {
+            return false;
         }
-        self.ring.push_back(v);
+        self.ref_count += 1;
+        let delta = v - self.ref_mean;
+        self.ref_mean += delta / self.ref_count as f64;
+        self.ref_m2 += delta * (v - self.ref_mean);
+        self.ref_min = self.ref_min.min(v);
+        self.ref_max = self.ref_max.max(v);
+        if self.ref_count >= reference_len {
+            self.freeze();
+        }
+        self.frozen
+    }
+
+    /// Freezes the reference and caches the drift gates' denominators
+    /// from the accumulators (restore calls it too, so a restored
+    /// monitor's gates are bit-identical). The floors keep a
+    /// constant-valued reference channel from turning any wiggle into an
+    /// infinite z, and from making the range gate unpassable — any real
+    /// shift off a constant clears it.
+    fn freeze(&mut self) {
+        self.frozen = true;
+        let std = if self.ref_count < 2 {
+            0.0
+        } else {
+            (self.ref_m2 / (self.ref_count - 1) as f64).sqrt()
+        };
+        let floor = 1e-9 * self.ref_mean.abs().max(1.0);
+        self.z_denom = std.max(floor);
+        self.range = (self.ref_max - self.ref_min).max(floor);
+    }
+
+    /// A cell entering the window; true when it is missing (non-finite).
+    fn enter(&mut self, v: f64) -> bool {
         if v.is_finite() {
             self.finite_sum += v;
             self.finite_count += 1;
+            false
         } else {
-            self.nan_count += 1;
-        }
-        if self.ring.len() > window {
-            let old = self.ring.pop_front().unwrap_or(f64::NAN);
-            if old.is_finite() {
-                self.finite_sum -= old;
-                self.finite_count -= 1;
-            } else {
-                self.nan_count -= 1;
-            }
+            true
         }
     }
 
-    fn ref_std(&self) -> f64 {
-        if self.ref_count < 2 {
-            return 0.0;
+    /// A cell leaving the window; true when it was missing.
+    fn leave(&mut self, v: f64) -> bool {
+        if v.is_finite() {
+            self.finite_sum -= v;
+            self.finite_count -= 1;
+            false
+        } else {
+            true
         }
-        (self.ref_m2 / (self.ref_count - 1) as f64).sqrt()
     }
 
-    /// Drift z-score of the rolling mean vs the frozen reference; 0 until
-    /// both the reference and enough of the window are in. The std floor
-    /// keeps a constant-valued reference channel from turning any wiggle
-    /// into an infinite z.
+    /// Rolling mean minus reference mean; `None` until both the reference
+    /// and enough of the window are in.
+    fn deviation(&self, min_window: usize) -> Option<f64> {
+        if !self.frozen || self.finite_count < min_window {
+            return None;
+        }
+        Some(self.finite_sum / self.finite_count as f64 - self.ref_mean)
+    }
+
+    /// Drift z-score of the rolling mean vs the frozen reference (0 until
+    /// [`ChannelQuality::deviation`] exists).
     fn drift_z(&self, min_window: usize) -> f64 {
-        if !self.frozen || self.finite_count < min_window {
-            return 0.0;
-        }
-        let roll_mean = self.finite_sum / self.finite_count as f64;
-        let denom = self.ref_std().max(1e-9 * self.ref_mean.abs().max(1.0));
-        ((roll_mean - self.ref_mean) / denom).abs()
+        self.deviation(min_window).map_or(0.0, |d| (d / self.z_denom).abs())
     }
 
-    /// The range gate: true when the rolling mean sits `range_factor`
-    /// reference ranges away from the reference mean. The floor keeps a
-    /// constant-valued reference (zero range) from making the gate
-    /// unpassable — any real shift off a constant clears it.
-    fn drift_beyond_range(&self, min_window: usize, range_factor: f64) -> bool {
-        if !self.frozen || self.finite_count < min_window {
-            return false;
-        }
-        let roll_mean = self.finite_sum / self.finite_count as f64;
-        let range = (self.ref_max - self.ref_min).max(1e-9 * self.ref_mean.abs().max(1.0));
-        (roll_mean - self.ref_mean).abs() > range_factor * range
+    /// Both drift gates: the rolling mean sits `range_factor` reference
+    /// ranges away from the reference mean (checked first: no division)
+    /// and at least `z_flag` reference stds.
+    fn drifted(&self, min_window: usize, z_flag: f64, range_factor: f64) -> bool {
+        self.deviation(min_window).is_some_and(|d| {
+            d.abs() > range_factor * self.range && (d / self.z_denom).abs() >= z_flag
+        })
     }
 }
 
-impl ChannelQuality {
-    fn write_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.ref_count);
-        w.put_f64(self.ref_mean);
-        w.put_f64(self.ref_m2);
-        w.put_f64(self.ref_min);
-        w.put_f64(self.ref_max);
-        w.put_bool(self.frozen);
-        w.put_f64_seq(self.ring.len(), self.ring.iter().copied());
-        w.put_f64(self.finite_sum);
-        w.put_usize(self.finite_count);
-        w.put_usize(self.nan_count);
-    }
-
-    fn read_state(&mut self, r: &mut SnapReader<'_>, window: usize) -> Result<(), SnapError> {
-        let ref_count = r.get_usize()?;
-        let ref_mean = r.get_f64()?;
-        let ref_m2 = r.get_f64()?;
-        let ref_min = r.get_f64()?;
-        let ref_max = r.get_f64()?;
-        let frozen = r.get_bool()?;
-        let ring = r.get_f64_vec()?;
-        if ring.len() > window {
-            return Err(SnapError::Corrupt("quality ring larger than the window"));
-        }
-        let finite_sum = r.get_f64()?;
-        let finite_count = r.get_usize()?;
-        let nan_count = r.get_usize()?;
-        if finite_count + nan_count != ring.len() {
-            return Err(SnapError::Corrupt("quality ring counts disagree with its length"));
-        }
-        self.ref_count = ref_count;
-        self.ref_mean = ref_mean;
-        self.ref_m2 = ref_m2;
-        self.ref_min = ref_min;
-        self.ref_max = ref_max;
-        self.frozen = frozen;
-        self.ring = ring.into();
-        self.finite_sum = finite_sum;
-        self.finite_count = finite_count;
-        self.nan_count = nan_count;
-        Ok(())
-    }
-}
-
-/// One vehicle's monitor: per-channel stats plus the cadence tracker.
+/// One vehicle's monitor: per-channel stats, the window's cells and the
+/// cadence tracker.
 #[derive(Debug, Clone)]
 pub struct QualityMonitor {
     cfg: QualityConfig,
     channels: Vec<ChannelQuality>,
+    /// The window's raw cells (NaN kept — it is the signal): one row of
+    /// `channels.len()` cells per record, in the slots `rows` addresses.
+    cells: Vec<f64>,
+    rows: RingIndex,
+    /// Non-finite or missing cells in the window, over all channels.
+    missing: usize,
+    /// Channels whose reference is frozen.
+    frozen: usize,
     records: u64,
     // Cadence: inter-record gaps collected during warm-up, median frozen.
     last_ts: Option<i64>,
+    /// Reserved for the whole warm-up (`reference_len` gaps, at least the
+    /// one pushed before the length check) so `observe` never grows it.
     warmup_dts: Vec<i64>,
     median_dt: Option<i64>,
-    gap_ring: VecDeque<bool>,
+    gaps: Vec<bool>,
+    gap_slots: RingIndex,
     gap_count: usize,
 }
 
@@ -270,11 +308,16 @@ impl QualityMonitor {
         QualityMonitor {
             cfg,
             channels: (0..n_channels).map(|_| ChannelQuality::new()).collect(),
+            cells: vec![0.0; cfg.window * n_channels],
+            rows: RingIndex::new(cfg.window, 0),
+            missing: 0,
+            frozen: 0,
             records: 0,
             last_ts: None,
-            warmup_dts: Vec::new(),
+            warmup_dts: Vec::with_capacity(cfg.reference_len.max(1)),
             median_dt: None,
-            gap_ring: VecDeque::new(),
+            gaps: vec![false; cfg.window],
+            gap_slots: RingIndex::new(cfg.window, 0),
             gap_count: 0,
         }
     }
@@ -284,10 +327,30 @@ impl QualityMonitor {
     /// under the config's thresholds.
     pub fn observe(&mut self, timestamp: i64, row: &[f64]) -> bool {
         self.records += 1;
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            let v = row.get(i).copied().unwrap_or(f64::NAN);
-            ch.push(v, self.cfg.reference_len, self.cfg.window);
+        let width = self.channels.len();
+        let slot = self.rows.next_slot();
+        let evicting = slot.is_some_and(|(_, full)| full);
+        let mut cells = slot
+            .and_then(|(s, _)| self.cells.get_mut(s * width..(s + 1) * width))
+            .unwrap_or_default()
+            .iter_mut();
+        for (c, ch) in self.channels.iter_mut().enumerate() {
+            let v = row.get(c).copied().unwrap_or(f64::NAN);
+            if ch.absorb(v, self.cfg.reference_len) {
+                self.frozen += 1;
+            }
+            self.missing += usize::from(ch.enter(v));
+            // The cell leaving the window: the oldest row's, or this one
+            // at once when the window has no room at all.
+            let left = match cells.next() {
+                Some(cell) => Some(std::mem::replace(cell, v)).filter(|_| evicting),
+                None => Some(v),
+            };
+            if let Some(old) = left {
+                self.missing -= usize::from(ch.leave(old));
+            }
         }
+        self.rows.advance();
         self.observe_cadence(timestamp);
         self.flagged()
     }
@@ -295,7 +358,7 @@ impl QualityMonitor {
     fn observe_cadence(&mut self, timestamp: i64) {
         let prev = self.last_ts.replace(timestamp);
         let Some(prev) = prev else { return };
-        let dt = timestamp - prev;
+        let dt = timestamp.saturating_sub(prev);
         if dt <= 0 {
             // Reordered arrival: sequencing trouble, not a cadence gap.
             return;
@@ -305,18 +368,27 @@ impl QualityMonitor {
                 self.warmup_dts.push(dt);
                 if self.warmup_dts.len() >= self.cfg.reference_len {
                     self.warmup_dts.sort_unstable();
-                    self.median_dt = Some(self.warmup_dts[self.warmup_dts.len() / 2].max(1));
-                    self.warmup_dts = Vec::new();
+                    let median = self.warmup_dts.get(self.warmup_dts.len() / 2).copied();
+                    self.median_dt = Some(median.unwrap_or(1).max(1));
+                    // Warm-up is over: hand its buffer back. `mem::take`
+                    // is the same operation as assigning `Vec::new()`: it
+                    // frees the buffer and allocates nothing.
+                    drop(std::mem::take(&mut self.warmup_dts));
                 }
             }
             Some(median) => {
                 let is_gap = dt as f64 > self.cfg.cadence_gap_factor * median as f64;
-                self.gap_ring.push_back(is_gap);
                 self.gap_count += usize::from(is_gap);
-                if self.gap_ring.len() > self.cfg.window {
-                    let old = self.gap_ring.pop_front().unwrap_or(false);
-                    self.gap_count -= usize::from(old);
-                }
+                let left = match self.gap_slots.next_slot() {
+                    Some((s, evicting)) => self
+                        .gaps
+                        .get_mut(s)
+                        .map(|g| std::mem::replace(g, is_gap))
+                        .filter(|_| evicting),
+                    None => Some(is_gap),
+                };
+                self.gap_count -= usize::from(left.unwrap_or(false));
+                self.gap_slots.advance();
             }
         }
     }
@@ -326,19 +398,18 @@ impl QualityMonitor {
     }
 
     fn nan_fraction(&self) -> f64 {
-        let cells: usize = self.channels.iter().map(|c| c.ring.len()).sum();
+        let cells = self.rows.len * self.channels.len();
         if cells == 0 {
             return 0.0;
         }
-        let nan: usize = self.channels.iter().map(|c| c.nan_count).sum();
-        nan as f64 / cells as f64
+        self.missing as f64 / cells as f64
     }
 
     fn gap_fraction(&self) -> f64 {
-        if self.gap_ring.is_empty() {
+        if self.gap_slots.len == 0 {
             return 0.0;
         }
-        self.gap_count as f64 / self.gap_ring.len() as f64
+        self.gap_count as f64 / self.gap_slots.len as f64
     }
 
     fn max_drift_z(&self) -> f64 {
@@ -354,7 +425,7 @@ impl QualityMonitor {
         // The gap ring only starts filling once the cadence median is
         // frozen, so gate on *its* fill — right after freeze, one gap in
         // a two-entry ring would otherwise read as "half the window".
-        if self.gap_ring.len() >= self.cfg.window
+        if self.gap_slots.len >= self.cfg.window
             && self.gap_fraction() >= self.cfg.gap_fraction_flag
         {
             return true;
@@ -365,15 +436,14 @@ impl QualityMonitor {
         let min_window = self.min_window();
         // Both gates on the same channel: statistically impossible under
         // the reference (z) AND outside everything it ever saw (range).
-        self.channels.iter().any(|c| {
-            c.drift_z(min_window) >= self.cfg.drift_z_flag
-                && c.drift_beyond_range(min_window, self.cfg.drift_range_factor)
-        })
+        self.channels
+            .iter()
+            .any(|c| c.drifted(min_window, self.cfg.drift_z_flag, self.cfg.drift_range_factor))
     }
 
     /// True once every channel's reference is frozen.
     pub fn reference_frozen(&self) -> bool {
-        !self.channels.is_empty() && self.channels.iter().all(|c| c.frozen)
+        !self.channels.is_empty() && self.frozen == self.channels.len()
     }
 
     /// Current rolling fractions and drift, for gauge export.
@@ -390,12 +460,24 @@ impl QualityMonitor {
 
 // Everything outside `cfg` is evolved state: reference accumulators (the
 // freeze threshold may not be reached yet), rolling rings, and the cadence
-// tracker including its warm-up gap collection.
+// tracker including its warm-up gap collection. The layout is per channel
+// — accumulators, then that channel's window cells oldest first and their
+// finite/missing counts — then the cadence tracker.
 impl Snapshot for QualityMonitor {
     fn write_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.channels.len());
-        for ch in &self.channels {
-            ch.write_state(w);
+        let width = self.channels.len();
+        w.put_usize(width);
+        for (c, ch) in self.channels.iter().enumerate() {
+            w.put_usize(ch.ref_count);
+            w.put_f64(ch.ref_mean);
+            w.put_f64(ch.ref_m2);
+            w.put_f64(ch.ref_min);
+            w.put_f64(ch.ref_max);
+            w.put_bool(ch.frozen);
+            w.put_f64_seq(self.rows.len, self.rows.slots().map(|s| self.cells[s * width + c]));
+            w.put_f64(ch.finite_sum);
+            w.put_usize(ch.finite_count);
+            w.put_usize(self.rows.len - ch.finite_count);
         }
         w.put_u64(self.records);
         w.put_opt_i64(self.last_ts);
@@ -404,9 +486,9 @@ impl Snapshot for QualityMonitor {
             w.put_i64(*dt);
         }
         w.put_opt_i64(self.median_dt);
-        w.put_usize(self.gap_ring.len());
-        for g in &self.gap_ring {
-            w.put_bool(*g);
+        w.put_usize(self.gap_slots.len);
+        for s in self.gap_slots.slots() {
+            w.put_bool(self.gaps[s]);
         }
         w.put_usize(self.gap_count);
     }
@@ -414,14 +496,49 @@ impl Snapshot for QualityMonitor {
 
 impl Restore for QualityMonitor {
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n_channels = r.get_usize()?;
-        if n_channels != self.channels.len() {
+        let width = r.get_usize()?;
+        if width != self.channels.len() {
             return Err(SnapError::Corrupt("quality monitor channel-count mismatch"));
         }
-        let mut channels: Vec<ChannelQuality> =
-            (0..n_channels).map(|_| ChannelQuality::new()).collect();
-        for ch in &mut channels {
-            ch.read_state(r, self.cfg.window)?;
+        let window = self.cfg.window;
+        let mut channels = Vec::with_capacity(width);
+        let mut cells = vec![0.0; window * width];
+        let mut rows = None;
+        let mut missing = 0;
+        for c in 0..width {
+            let mut ch = ChannelQuality::new();
+            ch.ref_count = r.get_usize()?;
+            ch.ref_mean = r.get_f64()?;
+            ch.ref_m2 = r.get_f64()?;
+            ch.ref_min = r.get_f64()?;
+            ch.ref_max = r.get_f64()?;
+            let frozen = r.get_bool()?;
+            let column = r.get_f64_vec()?;
+            if column.len() > window {
+                return Err(SnapError::Corrupt("quality ring larger than the window"));
+            }
+            // Every record lands in every channel's ring, so the rings
+            // are one window of rows; unequal lengths are no real state.
+            if *rows.get_or_insert(column.len()) != column.len() {
+                return Err(SnapError::Corrupt("quality rings of unequal length"));
+            }
+            ch.finite_sum = r.get_f64()?;
+            ch.finite_count = r.get_usize()?;
+            let nan_count = r.get_usize()?;
+            if ch.finite_count.checked_add(nan_count) != Some(column.len()) {
+                return Err(SnapError::Corrupt("quality ring counts disagree with its length"));
+            }
+            if column.iter().filter(|v| !v.is_finite()).count() != nan_count {
+                return Err(SnapError::Corrupt("quality ring counts disagree with its cells"));
+            }
+            for (k, v) in column.into_iter().enumerate() {
+                cells[k * width + c] = v;
+            }
+            if frozen {
+                ch.freeze();
+            }
+            missing += nan_count;
+            channels.push(ch);
         }
         let records = r.get_u64()?;
         let last_ts = r.get_opt_i64()?;
@@ -434,24 +551,33 @@ impl Restore for QualityMonitor {
             warmup_dts.push(r.get_i64()?);
         }
         let median_dt = r.get_opt_i64()?;
+        if median_dt.is_none() {
+            // Room for the rest of the warm-up, as `new` reserves it.
+            warmup_dts.reserve_exact(self.cfg.reference_len.max(1) - n_warmup);
+        }
         let n_gaps = r.get_len(1)?;
-        if n_gaps > self.cfg.window {
+        if n_gaps > window {
             return Err(SnapError::Corrupt("gap ring larger than the window"));
         }
-        let mut gap_ring = VecDeque::with_capacity(n_gaps);
-        for _ in 0..n_gaps {
-            gap_ring.push_back(r.get_bool()?);
+        let mut gaps = vec![false; window];
+        for g in gaps.iter_mut().take(n_gaps) {
+            *g = r.get_bool()?;
         }
         let gap_count = r.get_usize()?;
-        if gap_count != gap_ring.iter().filter(|g| **g).count() {
+        if gap_count != gaps.iter().filter(|g| **g).count() {
             return Err(SnapError::Corrupt("gap count disagrees with the gap ring"));
         }
+        self.frozen = channels.iter().filter(|c| c.frozen).count();
         self.channels = channels;
+        self.cells = cells;
+        self.rows = RingIndex::new(window, rows.unwrap_or(0));
+        self.missing = missing;
         self.records = records;
         self.last_ts = last_ts;
         self.warmup_dts = warmup_dts;
         self.median_dt = median_dt;
-        self.gap_ring = gap_ring;
+        self.gaps = gaps;
+        self.gap_slots = RingIndex::new(window, n_gaps);
         self.gap_count = gap_count;
         Ok(())
     }
@@ -576,10 +702,42 @@ mod tests {
         for i in 0..10_000 {
             m.observe(i * 60, &[1.0, 2.0, f64::NAN]);
         }
-        for c in &m.channels {
-            assert!(c.ring.len() <= m.cfg.window);
-        }
-        assert!(m.gap_ring.len() <= m.cfg.window);
+        assert_eq!(m.cells.len(), m.cfg.window * 3, "the cell slab never grows");
+        assert!(m.rows.len <= m.cfg.window);
+        assert_eq!(m.gaps.len(), m.cfg.window, "the gap ring never grows");
+        assert!(m.gap_slots.len <= m.cfg.window);
         assert!(m.warmup_dts.is_empty(), "warm-up buffer is released after freeze");
+        assert_eq!(m.warmup_dts.capacity(), 0, "and its allocation handed back");
+    }
+
+    #[test]
+    fn warm_up_never_reallocates() {
+        // The buffer is reserved up front, fresh and after a restore
+        // mid-warm-up, so no cadence push in `observe` can grow it.
+        let cfg = tiny_cfg();
+        let mut m = QualityMonitor::new(1, cfg);
+        let cap = m.warmup_dts.capacity();
+        assert!(cap >= cfg.reference_len);
+        for i in 0..cfg.reference_len / 2 {
+            m.observe(i as i64 * 60, &[1.0]);
+        }
+        assert_eq!(m.warmup_dts.capacity(), cap, "fresh warm-up stays in its buffer");
+        let mut w = SnapWriter::new();
+        m.write_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = QualityMonitor::new(1, cfg);
+        restored.read_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert!(restored.median_dt.is_none() && !restored.warmup_dts.is_empty());
+        let cap = restored.warmup_dts.capacity();
+        assert!(cap >= cfg.reference_len);
+        let mut t = cfg.reference_len as i64 * 60;
+        while restored.median_dt.is_none() {
+            assert_eq!(restored.warmup_dts.capacity(), cap, "restored warm-up stays in its buffer");
+            restored.observe(t, &[1.0]);
+            t += 60;
+        }
+        // A zero-length reference still pushes one gap before freezing.
+        let zero = QualityMonitor::new(1, QualityConfig { reference_len: 0, ..cfg });
+        assert!(zero.warmup_dts.capacity() >= 1);
     }
 }

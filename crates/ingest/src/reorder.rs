@@ -143,7 +143,13 @@ impl<T: Sequenced> ReorderBuffer<T> {
                 };
             }
         }
-        match self.buf.binary_search_by(|x| x.key().cmp(&key)) {
+        // In-order arrivals (the common case) land at the back: skip the
+        // search, whose answer would be that same index.
+        let slot = match self.buf.back() {
+            Some(back) if back.key() >= key => self.buf.binary_search_by(|x| x.key().cmp(&key)),
+            _ => Err(self.buf.len()),
+        };
+        match slot {
             Ok(pos) => {
                 if self.buf.get(pos).is_some_and(|held| held.identical(&item)) {
                     self.stats.duplicates += 1;

@@ -128,34 +128,108 @@ impl FilterSpec {
         frame.filter_rows(&self.mask(frame))
     }
 
+    /// Resolves the filter's column names against a record schema once,
+    /// for streams that check many records of that schema.
+    pub fn resolve<S: AsRef<str>>(&self, names: &[S]) -> RowFilter {
+        RowFilter {
+            stationary: self.stationary_columns(names),
+            min_moving_speed: self.min_moving_speed,
+            min_running_rpm: self.min_running_rpm,
+            bounds: self.bounds(names).collect(),
+        }
+    }
+
     /// Streaming variant: whether a single record survives the filter.
+    /// Resolves the column names on every call; a stream of records of one
+    /// schema should [`FilterSpec::resolve`] once and use [`RowFilter::keep`].
     pub fn keep_row(&self, names: &[String], row: &[f64]) -> bool {
+        RowFilter::passes(
+            row,
+            self.stationary_columns(names),
+            self.min_moving_speed,
+            self.min_running_rpm,
+            self.bounds(names),
+        )
+    }
+
+    /// Positions of the speed and rpm columns, when both are configured
+    /// and present.
+    fn stationary_columns<S: AsRef<str>>(&self, names: &[S]) -> Option<(usize, usize)> {
+        match (&self.speed_column, &self.rpm_column) {
+            (Some(sc), Some(rc)) => Some((position(names, sc)?, position(names, rc)?)),
+            _ => None,
+        }
+    }
+
+    /// Every per-column bound present in `names` as `(column, min, max)`,
+    /// inclusive: the valid ranges, then the warm-up minimum.
+    fn bounds<'a, S: AsRef<str>>(
+        &'a self,
+        names: &'a [S],
+    ) -> impl Iterator<Item = (usize, f64, f64)> + 'a {
+        let ranges = self
+            .valid_ranges
+            .iter()
+            .filter_map(|vr| Some((position(names, &vr.name)?, vr.min, vr.max)));
+        let warm = self
+            .warm_column
+            .as_deref()
+            .and_then(|wc| Some((position(names, wc)?, self.warm_min, f64::INFINITY)));
+        ranges.chain(warm)
+    }
+}
+
+/// First position of `name` in a schema (as [`Frame::column_index`]).
+fn position<S: AsRef<str>>(names: &[S], name: &str) -> Option<usize> {
+    names.iter().position(|n| n.as_ref() == name)
+}
+
+/// A [`FilterSpec`] resolved against one record schema
+/// ([`FilterSpec::resolve`]): column positions looked up once, so keeping
+/// or dropping a record is a finiteness scan plus a few comparisons.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RowFilter {
+    /// `(speed, rpm)` positions when the stationary check applies.
+    stationary: Option<(usize, usize)>,
+    min_moving_speed: f64,
+    min_running_rpm: f64,
+    /// `(column, min, max)`, inclusive; the warm-up minimum rides here
+    /// with an infinite maximum.
+    bounds: Vec<(usize, f64, f64)>,
+}
+
+impl RowFilter {
+    /// Whether a record survives the filter: every value finite, not
+    /// stationary, every bounded column in range. A record too short to
+    /// hold a column the filter reads is dropped, like a non-finite one.
+    pub fn keep(&self, row: &[f64]) -> bool {
+        Self::passes(
+            row,
+            self.stationary,
+            self.min_moving_speed,
+            self.min_running_rpm,
+            self.bounds.iter().copied(),
+        )
+    }
+
+    /// The one row predicate, over resolved column positions.
+    fn passes(
+        row: &[f64],
+        stationary: Option<(usize, usize)>,
+        min_moving_speed: f64,
+        min_running_rpm: f64,
+        mut bounds: impl Iterator<Item = (usize, f64, f64)>,
+    ) -> bool {
         if row.iter().any(|v| !v.is_finite()) {
             return false;
         }
-        let find = |n: &str| names.iter().position(|x| x == n);
-        if let (Some(sc), Some(rc)) = (&self.speed_column, &self.rpm_column) {
-            if let (Some(si), Some(ri)) = (find(sc), find(rc)) {
-                if row[si] < self.min_moving_speed && row[ri] < self.min_running_rpm {
-                    return false;
-                }
+        if let Some((si, ri)) = stationary {
+            let (Some(&speed), Some(&rpm)) = (row.get(si), row.get(ri)) else { return false };
+            if speed < min_moving_speed && rpm < min_running_rpm {
+                return false;
             }
         }
-        for vr in &self.valid_ranges {
-            if let Some(i) = find(&vr.name) {
-                if row[i] < vr.min || row[i] > vr.max {
-                    return false;
-                }
-            }
-        }
-        if let Some(wc) = &self.warm_column {
-            if let Some(i) = find(wc) {
-                if row[i] < self.warm_min {
-                    return false;
-                }
-            }
-        }
-        true
+        !bounds.any(|(i, min, max)| row.get(i).map_or(true, |&v| v < min || v > max))
     }
 }
 

@@ -28,7 +28,7 @@ pub mod transform;
 
 pub use aggregate::{daily_aggregate, DailyAggregate};
 pub use extended::{HistogramTransform, SpectralTransform};
-pub use filter::{FilterSpec, ValidRange};
+pub use filter::{FilterSpec, RowFilter, ValidRange};
 pub use frame::Frame;
 pub use resample::{resample, FillMethod, ResampleSpec};
 pub use rolling::{rolling_mean, rolling_std, RollingExtrema, RollingStats};

@@ -2,8 +2,8 @@
 
 use navarchos_tsframe::aggregate::{daily_aggregate, SECONDS_PER_DAY};
 use navarchos_tsframe::{
-    resample, CorrelationTransform, DeltaTransform, FillMethod, Frame, MeanTransform, RawTransform,
-    ResampleSpec, RollingExtrema, RollingStats, Transform,
+    resample, CorrelationTransform, DeltaTransform, FillMethod, FilterSpec, Frame, MeanTransform,
+    RawTransform, ResampleSpec, RollingExtrema, RollingStats, Transform, ValidRange,
 };
 use proptest::prelude::*;
 
@@ -372,5 +372,100 @@ proptest! {
         let mut small = WindowCadence::new(window, stride);
         let mut r = SnapReader::new(&bytes);
         prop_assert!(small.read_state(&mut r).is_err(), "len > window must be corrupt");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Record filter: the resolved row predicate, the per-call `keep_row` and the
+// column-wise `mask` agree row by row.
+// ---------------------------------------------------------------------------
+
+/// The next float above `x` (`f64::next_up`, which postdates the MSRV).
+fn next_up(x: f64) -> f64 {
+    if x == 0.0 {
+        f64::from_bits(1)
+    } else if x > 0.0 {
+        f64::from_bits(x.to_bits() + 1)
+    } else {
+        f64::from_bits(x.to_bits() - 1)
+    }
+}
+
+/// Every bound of the Navarchos filter (ranges, stationary thresholds,
+/// warm-up minimum) with the floats on either side of it, plus the
+/// non-finite values.
+fn filter_edge_values() -> Vec<f64> {
+    let bounds = [-40.0, 0.0, 3.0, 5.0, 72.0, 120.0, 135.0, 220.0, 255.0, 650.0, 950.0, 8000.0];
+    let mut out = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for b in bounds {
+        out.extend([-next_up(-b), b, next_up(b)]);
+    }
+    out
+}
+
+/// A cell: a filter edge value half the time, else anywhere in the range
+/// the six signals span.
+fn filter_cell() -> impl Strategy<Value = f64> {
+    let edges = filter_edge_values();
+    (0usize..2 * edges.len(), -100.0f64..9000.0)
+        .prop_map(move |(i, x)| edges.get(i).copied().unwrap_or(x))
+}
+
+/// The Navarchos schema with each column kept or omitted, an optional
+/// column the filter never reads, in a random order.
+fn filter_schema() -> impl Strategy<Value = Vec<String>> {
+    (prop::collection::vec(0u8..4, 7), prop::collection::vec(0u32..1000, 7)).prop_map(
+        |(keep, order)| {
+            let all =
+                ["rpm", "speed", "coolantTemp", "intakeTemp", "mapIntake", "mafAirFlowRate", "x"];
+            let mut cols: Vec<(u32, String)> = all
+                .iter()
+                .zip(keep.iter().zip(&order))
+                .filter(|(_, (k, _))| **k > 0)
+                .map(|(n, (_, o))| (*o, n.to_string()))
+                .collect();
+            cols.sort();
+            cols.into_iter().map(|(_, n)| n).collect()
+        },
+    )
+}
+
+/// The paper's filter, the empty filter, and a variant with no stationary
+/// check and two ranges on one column.
+fn filter_spec(which: usize) -> FilterSpec {
+    match which {
+        0 => FilterSpec::navarchos_default(),
+        1 => FilterSpec::default(),
+        _ => {
+            let mut spec = FilterSpec::navarchos_default();
+            spec.rpm_column = None;
+            spec.valid_ranges.push(ValidRange::new("speed", 3.0, 120.0));
+            spec
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn resolved_filter_keep_row_and_mask_agree(
+        (names, rows) in filter_schema().prop_flat_map(|names| {
+            let width = names.len();
+            (Just(names), prop::collection::vec(prop::collection::vec(filter_cell(), width), 1..24))
+        }),
+        which in 0usize..3,
+    ) {
+        let spec = filter_spec(which);
+        let mut frame = Frame::new(&names);
+        for (i, row) in rows.iter().enumerate() {
+            frame.push_row(i as i64 * 60, row);
+        }
+        let mask = spec.mask(&frame);
+        let resolved = spec.resolve(&names);
+        for (i, row) in rows.iter().enumerate() {
+            prop_assert_eq!(resolved.keep(row), mask[i], "row {} {:?} of {:?}", i, row, names);
+            prop_assert_eq!(spec.keep_row(&names, row), mask[i], "row {} {:?} of {:?}", i, row, names);
+        }
     }
 }
