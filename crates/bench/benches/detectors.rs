@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use navarchos_core::detectors::{
     ClosestPairDetector, Detector, DetectorKind, DetectorParams, GrandDetector, GrandNcm,
-    IsolationForestDetector, KdeDetector, MlpDetector, PcaDetector, SaxNoveltyDetector,
     TranAdDetector, XgboostDetector,
 };
 use navarchos_core::reference::ReferenceProfile;
@@ -59,45 +58,10 @@ fn bench_fit(c: &mut Criterion) {
             d.is_fitted()
         })
     });
-    group.bench_function("pca", |b| {
-        b.iter(|| {
-            let mut d = PcaDetector::new(DIM, &params);
-            d.fit(&profile);
-            d.is_fitted()
-        })
-    });
-    group.bench_function("kde", |b| {
-        b.iter(|| {
-            let mut d = KdeDetector::new(DIM, &params);
-            d.fit(&profile);
-            d.is_fitted()
-        })
-    });
-    group.bench_function("iforest", |b| {
-        b.iter(|| {
-            let mut d = IsolationForestDetector::new(DIM, &params);
-            d.fit(&profile);
-            d.is_fitted()
-        })
-    });
-    group.bench_function("sax_novelty", |b| {
-        b.iter(|| {
-            let mut d = SaxNoveltyDetector::new(&names, &params);
-            d.fit(&profile);
-            d.is_fitted()
-        })
-    });
     group.sample_size(10);
     group.bench_function("tranad", |b| {
         b.iter(|| {
             let mut d = TranAdDetector::new(DIM, &params);
-            d.fit(&profile);
-            d.is_fitted()
-        })
-    });
-    group.bench_function("mlp", |b| {
-        b.iter(|| {
-            let mut d = MlpDetector::new(&names, &params);
             d.fit(&profile);
             d.is_fitted()
         })
@@ -129,30 +93,6 @@ fn bench_score(c: &mut Criterion) {
     let mut xgb = XgboostDetector::new(&names, &params);
     xgb.fit(&profile);
     group.bench_function("xgboost", |b| b.iter(|| qs.iter().map(|q| xgb.score(q)[0]).sum::<f64>()));
-
-    let mut pca = PcaDetector::new(DIM, &params);
-    pca.fit(&profile);
-    group.bench_function("pca", |b| b.iter(|| qs.iter().map(|q| pca.score(q)[0]).sum::<f64>()));
-
-    let mut kde = KdeDetector::new(DIM, &params);
-    kde.fit(&profile);
-    group.bench_function("kde", |b| b.iter(|| qs.iter().map(|q| kde.score(q)[0]).sum::<f64>()));
-
-    let mut iforest = IsolationForestDetector::new(DIM, &params);
-    iforest.fit(&profile);
-    group.bench_function("iforest", |b| {
-        b.iter(|| qs.iter().map(|q| iforest.score(q)[0]).sum::<f64>())
-    });
-
-    let mut sax = SaxNoveltyDetector::new(&names, &params);
-    sax.fit(&profile);
-    group.bench_function("sax_novelty", |b| {
-        b.iter(|| qs.iter().map(|q| sax.score(q)[0]).sum::<f64>())
-    });
-
-    let mut mlp = MlpDetector::new(&names, &params);
-    mlp.fit(&profile);
-    group.bench_function("mlp", |b| b.iter(|| qs.iter().map(|q| mlp.score(q)[0]).sum::<f64>()));
 
     let mut tranad = TranAdDetector::new(DIM, &params);
     tranad.fit(&profile);

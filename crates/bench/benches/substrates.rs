@@ -3,16 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use navarchos_cluster::{linkage, Linkage};
-use navarchos_dsp::power_spectrum;
 use navarchos_fleetsim::faults::FaultEffects;
 use navarchos_fleetsim::physics::{simulate_ride, ThermalState};
 use navarchos_fleetsim::usage::RideKind;
 use navarchos_fleetsim::vehicle::VehicleModel;
-use navarchos_iforest::{IsolationForest, IsolationForestParams};
-use navarchos_neighbors::{KdTree, KnnIndex, LofModel, Metric, SortedNeighbors};
+use navarchos_neighbors::{KnnIndex, LofModel, Metric, SortedNeighbors};
 use navarchos_stat::correlation::pearson;
 use navarchos_stat::martingale::{conformal_pvalue, PowerMartingale};
-use navarchos_tsframe::sax::SaxEncoder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,17 +44,6 @@ fn bench_neighbors(c: &mut Criterion) {
         b.iter(|| LofModel::fit(&points, 6, 10, Metric::Euclidean).reference_scores()[0])
     });
     group.finish();
-
-    // k-d tree vs brute force at the fleet-level point counts where the
-    // tree starts to pay for itself.
-    let big: Vec<Vec<f64>> =
-        (0..20_000).map(|_| (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
-    let tree = KdTree::new(&big, 6);
-    let brute = KnnIndex::new(&big, 6, Metric::Euclidean);
-    let mut group = c.benchmark_group("knn_k10_n20000");
-    group.bench_function("kdtree", |b| b.iter(|| tree.knn_score(&q, 10, None)));
-    group.bench_function("brute_force", |b| b.iter(|| brute.knn_score(&q, 10, None)));
-    group.finish();
 }
 
 fn bench_cluster(c: &mut Criterion) {
@@ -87,36 +73,6 @@ fn bench_stat(c: &mut Criterion) {
         let mut m = PowerMartingale::default().with_window(60);
         b.iter(|| m.update(0.3))
     });
-    group.finish();
-}
-
-fn bench_extensions(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(5);
-    let signal: Vec<f64> = (0..128).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let data: Vec<f64> = (0..512 * 6).map(|_| rng.gen_range(-1.0..1.0)).collect();
-
-    let mut group = c.benchmark_group("extension_kernels");
-    group.bench_function("fft_power_spectrum_128", |b| b.iter(|| power_spectrum(&signal)));
-    let sax = SaxEncoder::new(6, 5);
-    group.bench_function("sax_encode_45", |b| b.iter(|| sax.encode(&signal[..45])));
-    group.sample_size(20);
-    group.bench_function("iforest_fit_512x6", |b| {
-        b.iter(|| {
-            IsolationForest::fit(
-                &data,
-                6,
-                &IsolationForestParams { n_trees: 50, ..Default::default() },
-            )
-            .n_trees()
-        })
-    });
-    let forest = IsolationForest::fit(
-        &data,
-        6,
-        &IsolationForestParams { n_trees: 50, ..Default::default() },
-    );
-    let q: Vec<f64> = (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    group.bench_function("iforest_score", |b| b.iter(|| forest.score(&q)));
     group.finish();
 }
 
@@ -284,7 +240,6 @@ criterion_group!(
     bench_neighbors,
     bench_cluster,
     bench_stat,
-    bench_extensions,
     bench_par,
     bench_obs,
     bench_ingest,

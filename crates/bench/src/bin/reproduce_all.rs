@@ -1,45 +1,44 @@
-//! Runs every experiment of the paper in one process (the grid is computed
-//! once and shared by Figures 4–7 and Table 1) and writes all reports under
-//! `results/`.
-use navarchos_bench::experiments::*;
+//! Regenerates the paper's tables and figures, and the repository's
+//! ablations, under `results/` in the current directory.
+//!
+//! ```text
+//! reproduce_all [NAME ...]
+//! ```
+//!
+//! Each NAME selects one output file (`fig1`, `table2`, `ablations`, …);
+//! with none, every file is written. The paper fleet is built once, and
+//! the technique × transformation grid behind Figures 4–7 and Table 1 runs
+//! only when one of those files is requested. An unknown NAME exits with
+//! status 2 and lists the valid ones.
+use navarchos_bench::artefacts::{find, Inputs, ARTEFACTS};
+use navarchos_bench::experiments::{dataset_summary, paper_fleet};
 use navarchos_bench::report::emit;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let selected: Vec<_> = if args.is_empty() {
+        ARTEFACTS.iter().collect()
+    } else {
+        let unknown: Vec<&String> = args.iter().filter(|a| find(a).is_none()).collect();
+        if !unknown.is_empty() {
+            let valid: Vec<&str> = ARTEFACTS.iter().map(|a| a.name).collect();
+            eprintln!(
+                "reproduce_all: unknown artefact(s): {}\nvalid names: {}",
+                unknown.iter().map(|s| s.as_str()).collect::<Vec<_>>().join(", "),
+                valid.join(", ")
+            );
+            std::process::exit(2);
+        }
+        ARTEFACTS.iter().filter(|a| args.iter().any(|n| n == a.name)).collect()
+    };
+
     navarchos_bench::init_obs();
     let started = std::time::Instant::now();
     let fleet = paper_fleet();
     eprintln!("{}", dataset_summary(&fleet));
-
-    emit("fig1_event_timelines.txt", &format!("{}\n{}", dataset_summary(&fleet), figure1(&fleet)));
-    emit("fig2_exploration.txt", &figure2(&fleet));
-
-    let results = run_grid(&fleet);
-    emit("fig4_grid_setting40.txt", &figure_grid(&results, "setting40", 4));
-    emit("fig5_grid_setting26.txt", &figure_grid(&results, "setting26", 5));
-    emit("fig6_transform_ranking.txt", &figure6(&results));
-    emit("fig7_technique_ranking.txt", &figure7(&results));
-    emit("table1_execution_time.txt", &table1(&results));
-
-    let (t2, outcome) = table2(&fleet);
-    emit("table2_best_configuration.txt", &t2);
-    emit("table3_no_service_reset.txt", &table3(&fleet));
-
-    let (factor, _) = outcome.evaluate(&fleet, &fleet.setting26(), 30);
-    emit("fig8_vehicle_trace.txt", &figure8(&fleet, &outcome, factor));
-
-    emit(
-        "ablations.txt",
-        &format!(
-            "{}\n{}\n{}",
-            grand_ncm_ablation(&fleet),
-            window_ablation(&fleet),
-            extension_comparison(&fleet)
-        ),
-    );
-    emit("ablation_fleet_grand.txt", &fleet_grand_ablation(&fleet));
-    emit("scenario_robustness.txt", &scenario_robustness());
-    emit("baseline_dtc.txt", &dtc_baseline(&fleet));
-    emit("ablation_seasonal.txt", &seasonal_ablation());
-
+    let inputs = Inputs::new(&fleet);
+    for artefact in selected {
+        emit(artefact.file, &artefact.render(&inputs));
+    }
     eprintln!("reproduce_all finished in {:.0}s", started.elapsed().as_secs_f64());
 }

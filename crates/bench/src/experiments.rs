@@ -1,6 +1,6 @@
 //! Shared experiment drivers: each paper table/figure has a function here
-//! that computes its content and returns the rendered report; the
-//! `exp_*` binaries and `reproduce_all` are thin wrappers.
+//! that computes its content and returns the rendered report;
+//! [`crate::artefacts`] maps them onto the files `reproduce_all` writes.
 
 use crate::exploration::{explore, OutlierCategory};
 use crate::grid::{fleet_scores, Cell, GridOutcome};
@@ -640,43 +640,6 @@ pub fn grand_ncm_ablation(fleet: &FleetData) -> String {
     )
 }
 
-/// Extension comparison: the paper's named-but-unevaluated step-1 and
-/// step-3 alternatives on the headline setting.
-pub fn extension_comparison(fleet: &FleetData) -> String {
-    let mut rows = Vec::new();
-    let cells = [
-        ("corr + IsolationForest", TransformKind::Correlation, DetectorKind::IsolationForest),
-        ("corr + MLP", TransformKind::Correlation, DetectorKind::Mlp),
-        ("spectral + Closest-pair", TransformKind::Spectral, DetectorKind::ClosestPair),
-        ("histogram + Closest-pair", TransformKind::Histogram, DetectorKind::ClosestPair),
-        ("spectral + XGBoost", TransformKind::Spectral, DetectorKind::Xgboost),
-        ("raw + SAX-novelty", TransformKind::Raw, DetectorKind::SaxNovelty),
-        ("corr + PCA", TransformKind::Correlation, DetectorKind::Pca),
-        ("corr + KDE", TransformKind::Correlation, DetectorKind::Kde),
-    ];
-    for (name, transform, detector) in cells {
-        let t0 = std::time::Instant::now();
-        let outcome =
-            fleet_scores(fleet, Cell { transform, detector }, ResetPolicy::OnServiceOrRepair);
-        let (param, c) = outcome.evaluate(fleet, &fleet.setting26(), 30);
-        rows.push(vec![
-            name.to_string(),
-            format!("{param:.2}"),
-            format!("{:.2}", c.f05()),
-            format!("{:.2}", c.precision()),
-            format!("{:.2}", c.recall()),
-            format!("{:.0}s", t0.elapsed().as_secs_f64()),
-        ]);
-    }
-    format!(
-        "Extensions — the paper's named-but-unevaluated alternatives
-         (setting26, PH30; reference: Closest-pair + correlation = the Table 2 row)
-
-{}",
-        table(&["configuration", "best th", "F0.5", "Precision", "Recall", "wall"], &rows)
-    )
-}
-
 /// Seasonal-drift ablation: the headline configuration on fleets with no
 /// seasonality, the default mild climate, and a strongly continental one.
 /// Long detection segments drift with ambient temperature; this measures
@@ -805,89 +768,6 @@ pub fn scenario_robustness() -> String {
 
 {}",
         table(&["fleet", "failures", "factor", "F0.5", "Precision", "Recall"], &rows)
-    )
-}
-
-/// Fleet-level Grand ablation — the original cross-fleet "wisdom of the
-/// crowd" formulation the paper argues against for heterogeneous fleets.
-/// Vehicle-days are daily medians of the correlation features; deviation
-/// levels are swept over the constant-threshold grid.
-pub fn fleet_grand_ablation(fleet: &FleetData) -> String {
-    use navarchos_core::evaluation::{constant_grid, evaluate_vehicle_instances, EvalCounts};
-    use navarchos_core::{fleet_grand_scores, FleetGrandParams, VehicleSeries};
-    use navarchos_tsframe::{CorrelationTransform, FilterSpec, Transform};
-
-    // Build per-vehicle daily feature series (one parallel task each —
-    // transform + daily medians dominate this experiment's wall-clock).
-    let filter = FilterSpec::navarchos_default();
-    let series: Vec<VehicleSeries> = navarchos_core::par_map(&fleet.vehicles, |_, vd| {
-        let filtered = filter.apply(&vd.frame);
-        let mut tr = CorrelationTransform::new(filtered.names(), 45, 3).with_differencing();
-        let feats = tr.apply(&filtered);
-        // Daily medians.
-        let dim = feats.width();
-        let mut timestamps = Vec::new();
-        let mut features = Vec::new();
-        let mut i = 0;
-        while i < feats.len() {
-            let day = feats.timestamps()[i].div_euclid(86_400);
-            let mut j = i;
-            while j < feats.len() && feats.timestamps()[j].div_euclid(86_400) == day {
-                j += 1;
-            }
-            timestamps.push(day * 86_400);
-            for c in 0..dim {
-                let mut col: Vec<f64> = (i..j).map(|r| feats.column(c)[r]).collect();
-                col.sort_by(|a, b| a.total_cmp(b));
-                features.push(navarchos_stat::descriptive::quantile_sorted(&col, 0.5));
-            }
-            i = j;
-        }
-        VehicleSeries { timestamps, features, dim }
-    });
-
-    let scores = fleet_grand_scores(&series, &FleetGrandParams::default());
-
-    // Sweep constant thresholds with the standard instance rules.
-    let eval = EvalParams::days(30);
-    let subset = fleet.setting26();
-    let mut best = (0.0f64, EvalCounts::default(), -1.0f64);
-    for th in constant_grid() {
-        let mut counts = EvalCounts::default();
-        for &v in &subset {
-            let events: Vec<(i64, usize)> = series[v]
-                .timestamps
-                .iter()
-                .zip(&scores[v])
-                .filter(|&(_, &s)| s.is_finite() && s > th)
-                .map(|(&t, _)| (t, 0usize))
-                .collect();
-            let instances =
-                navarchos_core::evaluation::alarm_instances(&events, eval.dedup_seconds, 2, 1);
-            counts.merge(&evaluate_vehicle_instances(
-                &instances,
-                &fleet.vehicles[v].recorded_repairs(),
-                eval,
-            ));
-        }
-        if counts.f05() > best.2 {
-            best = (th, counts, counts.f05());
-        }
-    }
-    let (th, counts, _) = best;
-    format!(
-        "Ablation — fleet-level Grand (cross-fleet peers, daily correlation
-         features, setting26, PH30): best threshold {th:.2} → F0.5 {:.2}
-         (precision {:.2}, recall {:.2}; tp {} fp {} fn {}).
-         The paper's argument — peer comparison breaks down in heterogeneous
-         fleets — holds if this score is well below the Table 2 headline.
-",
-        counts.f05(),
-        counts.precision(),
-        counts.recall(),
-        counts.tp,
-        counts.fp,
-        counts.fn_
     )
 }
 

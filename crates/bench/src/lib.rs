@@ -1,7 +1,8 @@
-//! Experiment harness: shared machinery for the binaries that regenerate
-//! every table and figure of the paper (see DESIGN.md's per-experiment
-//! index), and for the Criterion micro-benchmarks.
+//! Experiment harness: shared machinery for `reproduce_all`, which
+//! regenerates every table and figure of the paper (see DESIGN.md's
+//! per-experiment index), and for the Criterion micro-benchmarks.
 
+pub mod artefacts;
 pub mod baseline;
 pub mod experiments;
 pub mod exploration;

@@ -1,14 +1,16 @@
-//! Plain-text and CSV reporting helpers shared by the experiment
-//! binaries. Results are written under `results/` at the workspace root
-//! and echoed to stdout.
+//! Plain-text reporting helpers shared by the experiment harness.
+//! Results are written under `results/` in the current directory and
+//! echoed to stdout.
 
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Directory experiment outputs are written to.
+/// Directory experiment outputs are written to: `results/` under the
+/// current directory, resolved when the program runs (so a binary built in
+/// one checkout writes into the checkout it is run from).
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = PathBuf::from("results");
     fs::create_dir_all(&dir).expect("create results directory");
     dir
 }

@@ -7,20 +7,12 @@
 //! require re-scoring.
 
 mod closest_pair;
-mod extensions;
 mod grand;
-mod kde;
-mod pca;
-mod sax_novelty;
 mod tranad;
 mod xgboost;
 
 pub use closest_pair::ClosestPairDetector;
-pub use extensions::{IsolationForestDetector, MlpDetector};
 pub use grand::{GrandDetector, GrandNcm};
-pub use kde::KdeDetector;
-pub use pca::PcaDetector;
-pub use sax_novelty::SaxNoveltyDetector;
 pub use tranad::TranAdDetector;
 pub use xgboost::XgboostDetector;
 
@@ -72,7 +64,7 @@ pub trait Detector: std::fmt::Debug + Send {
     /// [`Detector::read_state`] to recover what a re-fit cannot — the
     /// rolling windows and martingale state that evolved after fitting.
     /// The default writes nothing, which is correct for the stateless
-    /// scorers (closest-pair, XGBoost, iforest, MLP, PCA, KDE).
+    /// scorers (closest-pair, XGBoost).
     fn write_state(&self, w: &mut navarchos_stat::SnapWriter) {
         let _ = w;
     }
@@ -101,23 +93,6 @@ pub enum DetectorKind {
     TranAd,
     /// Per-feature gradient-boosted regression loss (Section 3.6).
     Xgboost,
-    /// Isolation forest (extension; cited by the paper through Khan et
-    /// al. \[12\] as a further step-3 option).
-    IsolationForest,
-    /// Per-feature MLP regression (extension; the scheme of Massaro et
-    /// al. \[15\] discussed in the paper's related work).
-    Mlp,
-    /// Per-feature SAX vocabulary novelty on raw samples (the paper's
-    /// future-work direction: artificial events from discretised
-    /// signals).
-    SaxNovelty,
-    /// PCA reconstruction residual (extension; the subspace baseline of
-    /// the unsupervised-PdM literature the paper surveys).
-    Pca,
-    /// Gaussian-KDE negative log-density (extension; the classical
-    /// density-estimation approach to "describe normal, flag the
-    /// improbable").
-    Kde,
 }
 
 /// Tuning knobs shared by the detector factory. Defaults follow the
@@ -165,11 +140,6 @@ impl DetectorKind {
             DetectorKind::Grand(_) => "Grand",
             DetectorKind::TranAd => "TranAD",
             DetectorKind::Xgboost => "XGBoost",
-            DetectorKind::IsolationForest => "IsolationForest",
-            DetectorKind::Mlp => "MLP",
-            DetectorKind::SaxNovelty => "SAX-novelty",
-            DetectorKind::Pca => "PCA",
-            DetectorKind::Kde => "KDE",
         }
     }
 
@@ -201,11 +171,6 @@ impl DetectorKind {
             )),
             DetectorKind::TranAd => Box::new(TranAdDetector::new(dim, params)),
             DetectorKind::Xgboost => Box::new(XgboostDetector::new(names, params)),
-            DetectorKind::IsolationForest => Box::new(IsolationForestDetector::new(dim, params)),
-            DetectorKind::Mlp => Box::new(MlpDetector::new(names, params)),
-            DetectorKind::SaxNovelty => Box::new(SaxNoveltyDetector::new(names, params)),
-            DetectorKind::Pca => Box::new(PcaDetector::new(dim, params)),
-            DetectorKind::Kde => Box::new(KdeDetector::new(dim, params)),
         }
     }
 }

@@ -22,7 +22,6 @@
 pub mod aggregator;
 pub mod detectors;
 pub mod evaluation;
-pub mod fleet_grand;
 pub mod par;
 pub mod pipeline;
 pub mod prelude;
@@ -33,7 +32,6 @@ pub mod threshold;
 pub use aggregator::{AlarmAggregator, AlarmInstance};
 pub use detectors::{Detector, DetectorKind};
 pub use evaluation::{evaluate, sweep_best, EvalCounts, EvalParams};
-pub use fleet_grand::{fleet_grand_scores, FleetGrandParams, VehicleSeries};
 pub use par::{par_map, par_map_mut};
 pub use pipeline::{replay_interleaved, replay_stream, Alarm, PipelineConfig, StreamingPipeline};
 pub use reference::ResetPolicy;

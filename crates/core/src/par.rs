@@ -1,7 +1,7 @@
 //! Scoped fork-join parallelism for the fleet-scale loops.
 //!
 //! Every per-vehicle computation in the workspace — batch scoring, the
-//! fleet-level Grand ablation, daily-series construction — is
+//! experiment grid, the ablations — is
 //! embarrassingly parallel: vehicles never share mutable state. Before
 //! this module each call site hand-rolled its own `std::thread::scope`
 //! round-robin loop; [`par_map`] centralises that pattern (std-only, no

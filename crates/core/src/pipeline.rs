@@ -45,19 +45,24 @@ pub struct PipelineConfig {
     pub corr_floors: Option<Vec<f64>>,
 }
 
+/// The paper's sizes for a transformation, as `(window, stride,
+/// profile_length, holdout)`: the one table behind both
+/// [`PipelineConfig::paper_default`] and
+/// [`crate::runner::RunnerParams::paper_default`].
+pub(crate) fn paper_sizes(transform: TransformKind) -> (usize, usize, usize, usize) {
+    match transform {
+        TransformKind::Raw | TransformKind::Delta => (1, 1, 1200, 1500),
+        TransformKind::Mean | TransformKind::Correlation => (45, 3, 80, 50),
+    }
+}
+
 impl PipelineConfig {
     /// The paper's main configuration for a transformation/detector pair:
     /// hour-long windows emitted every 10 minutes for the windowed
     /// transformations, and profile/holdout sizes scaled to the
     /// transformation's emission rate.
     pub fn paper_default(transform: TransformKind, detector: DetectorKind) -> Self {
-        let (window, stride, profile_length, holdout) = match transform {
-            TransformKind::Raw | TransformKind::Delta => (1, 1, 1200, 1500),
-            TransformKind::Mean
-            | TransformKind::Correlation
-            | TransformKind::Spectral
-            | TransformKind::Histogram => (45, 3, 80, 50),
-        };
+        let (window, stride, profile_length, holdout) = paper_sizes(transform);
         PipelineConfig {
             transform,
             window,

@@ -53,13 +53,7 @@ impl RunnerParams {
     /// Paper-default parameters for a transformation/detector pair (same
     /// scaling as [`crate::pipeline::PipelineConfig::paper_default`]).
     pub fn paper_default(transform: TransformKind, detector: DetectorKind) -> Self {
-        let (window, stride, profile_length, holdout) = match transform {
-            TransformKind::Raw | TransformKind::Delta => (1, 1, 1200, 1500),
-            TransformKind::Mean
-            | TransformKind::Correlation
-            | TransformKind::Spectral
-            | TransformKind::Histogram => (45, 3, 80, 50),
-        };
+        let (window, stride, profile_length, holdout) = crate::pipeline::paper_sizes(transform);
         RunnerParams {
             transform,
             window,

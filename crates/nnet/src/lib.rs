@@ -18,10 +18,8 @@ pub mod attention;
 pub mod encoder;
 pub mod layers;
 pub mod matrix;
-pub mod mlp;
 pub mod tranad;
 
 pub use layers::{Adam, Gelu, LayerNorm, Linear};
 pub use matrix::Matrix;
-pub use mlp::{MlpParams, MlpRegressor};
 pub use tranad::{TranAd, TranAdConfig};

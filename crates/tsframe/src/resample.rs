@@ -1,9 +1,9 @@
 //! Gap-aware resampling of irregular telemetry onto a regular grid.
 //!
 //! OBD-II loggers sample opportunistically: the cadence varies with bus
-//! load and drops out entirely between rides. Several consumers want a
-//! regular grid instead — the spectral transform assumes uniform spacing,
-//! and exported CSVs are easier to join downstream. This module resamples
+//! load and drops out entirely between rides. Some consumers want a
+//! regular grid instead: exported CSVs are easier to join downstream, and
+//! frequency-domain analysis assumes uniform spacing. This module resamples
 //! a [`Frame`] onto a fixed period using linear interpolation (or
 //! previous-value hold), and refuses to bridge gaps longer than `max_gap`
 //! so rides are never interpolated across parking time — the same

@@ -105,14 +105,6 @@ pub enum TransformKind {
     Mean,
     /// Windowed pairwise Pearson correlations.
     Correlation,
-    /// Windowed spectral band energies + centroid per signal (extension;
-    /// the paper's "frequency-domain transformation" alternative).
-    Spectral,
-    /// Windowed normalised histograms per signal (extension; the paper's
-    /// "histograms" alternative). Requires the Navarchos PID schema —
-    /// construct [`crate::extended::HistogramTransform`] directly for
-    /// custom ranges.
-    Histogram,
 }
 
 impl TransformKind {
@@ -123,8 +115,6 @@ impl TransformKind {
             TransformKind::Delta => "delta",
             TransformKind::Mean => "mean agr.",
             TransformKind::Correlation => "correlation",
-            TransformKind::Spectral => "spectral",
-            TransformKind::Histogram => "histogram",
         }
     }
 
@@ -142,27 +132,6 @@ impl TransformKind {
             TransformKind::Mean => Box::new(MeanTransform::new(input_names, window, stride)),
             TransformKind::Correlation => {
                 Box::new(CorrelationTransform::new(input_names, window, stride))
-            }
-            TransformKind::Spectral => Box::new(crate::extended::SpectralTransform::new(
-                input_names,
-                window.max(8),
-                stride,
-                4,
-            )),
-            TransformKind::Histogram => {
-                let ranges = crate::extended::HistogramTransform::navarchos_ranges();
-                assert_eq!(
-                    input_names.len(),
-                    ranges.len(),
-                    "TransformKind::Histogram requires the 6-signal Navarchos schema;                      construct HistogramTransform directly for custom ranges"
-                );
-                Box::new(crate::extended::HistogramTransform::new(
-                    input_names,
-                    &ranges,
-                    6,
-                    window,
-                    stride,
-                ))
             }
         }
     }

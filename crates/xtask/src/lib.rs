@@ -12,7 +12,7 @@
 //! | L1 | all crate `src/` | NaN-unsafe `==`/`!=` against float literals/consts; `partial_cmp(..).unwrap()` |
 //! | L2 | numeric crates' `src/` | `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` outside tests |
 //! | L3 | `hot_kernels` files | narrowing `as` casts |
-//! | L4 | detector/experiment registries | factory, proptest, bench, reproduce-all completeness |
+//! | L4 | detector/kernel registries | factory, proptest, bench completeness |
 //! | L5 | all scanned files | stale or unjustified `#[allow]` attributes |
 //! | L6 | `hot_kernels` files | unchecked slice indexing |
 //! | L7 | library `src/` (not cli/xtask/obs or `src/bin/`) | raw `print!`/`println!`/`eprint!`/`eprintln!` — route through `navarchos-obs` |
@@ -49,7 +49,7 @@ use lints::Finding;
 /// the whole experiment. `obs` is instrumentation on those same loops, so a
 /// panic there would be just as fatal.
 pub const NUMERIC_CRATES: &[&str] =
-    &["stat", "tsframe", "neighbors", "core", "dsp", "gbdt", "nnet", "iforest", "obs"];
+    &["stat", "tsframe", "neighbors", "core", "gbdt", "nnet", "obs"];
 
 /// Lint ids adjudicated by `lint` (waivers for other ids are left to
 /// `analyze` and vice versa, so each command judges staleness only for the

@@ -1,7 +1,6 @@
 //! L4 — registry completeness. Cross-references the filesystem against the
-//! detector factory, the property-test suite, the benchmark suite, and the
-//! experiment reproduction driver, so a new detector or experiment cannot
-//! quietly ship half-wired.
+//! detector factory, the property-test suite and the benchmark suite, so a
+//! new detector or hot kernel cannot quietly ship half-wired.
 
 use std::collections::BTreeSet;
 
@@ -13,8 +12,6 @@ const DETECTOR_DIR: &str = "crates/core/src/detectors";
 const DETECTOR_MOD: &str = "crates/core/src/detectors/mod.rs";
 const PROPS: &str = "crates/core/tests/props.rs";
 const BENCHES: &str = "crates/bench/benches/detectors.rs";
-const BIN_DIR: &str = "crates/bench/src/bin";
-const REPRODUCE: &str = "crates/bench/src/bin/reproduce_all.rs";
 
 /// Performance-critical kernels that must stay covered by both a
 /// property-test suite (equivalence with their batch reference) and a
@@ -156,47 +153,6 @@ fn build_body(toks: &[Tok]) -> Option<&[Tok]> {
     None
 }
 
-/// Experiment functions an `exp_*.rs` bin pulls from the shared
-/// `experiments` module: `use navarchos_bench::experiments::{a, b};` or the
-/// single-ident form.
-fn imported_experiments(toks: &[Tok]) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if !(toks[i].is_ident("use")
-            && toks[i + 1..].first().is_some_and(|t| t.kind == TokKind::Ident))
-        {
-            i += 1;
-            continue;
-        }
-        // Walk the path; only harvest when it goes through `experiments`.
-        let mut through_experiments = false;
-        let mut j = i + 1;
-        while j + 1 < toks.len() && toks[j].kind == TokKind::Ident && toks[j + 1].is_punct("::") {
-            if toks[j].text == "experiments" {
-                through_experiments = true;
-            }
-            j += 2;
-        }
-        if through_experiments {
-            if toks[j].is_punct("{") {
-                let mut k = j + 1;
-                while k < toks.len() && !toks[k].is_punct("}") {
-                    if toks[k].kind == TokKind::Ident {
-                        out.push((toks[k].text.clone(), toks[k].line));
-                    }
-                    k += 1;
-                }
-                j = k;
-            } else if toks[j].kind == TokKind::Ident {
-                out.push((toks[j].text.clone(), toks[j].line));
-            }
-        }
-        i = j + 1;
-    }
-    out
-}
-
 /// Runs the registry-completeness checks over the loaded workspace.
 pub fn check(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -309,35 +265,6 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
         }
     }
 
-    // 4. Every `exp_*.rs` bin's experiment functions must be invoked by the
-    //    reproduction driver.
-    let reproduce = toks(ws, REPRODUCE).map(idents).unwrap_or_default();
-    if reproduce.is_empty() {
-        out.push(finding(REPRODUCE, 1, "reproduction driver missing or empty"));
-        return out;
-    }
-    let bins: Vec<String> =
-        dir_stems(ws, BIN_DIR).into_iter().filter(|s| s.starts_with("exp_")).collect();
-    for stem in bins {
-        let rel = format!("{BIN_DIR}/{stem}.rs");
-        let bin_toks = match toks(ws, &rel) {
-            Ok(t) => t,
-            Err(f) => {
-                out.push(f);
-                continue;
-            }
-        };
-        for (func, line) in imported_experiments(bin_toks) {
-            if !reproduce.contains(&func) {
-                out.push(finding(
-                    &rel,
-                    line,
-                    format!("experiment `{func}` is run by this bin but never by {REPRODUCE} — the one-shot driver must cover every figure/table"),
-                ));
-            }
-        }
-    }
-
     out
 }
 
@@ -362,14 +289,6 @@ mod tests {
         assert!(body.contains("KdeDetector"));
         assert!(!body.contains("A"));
         assert!(!body.contains("C"));
-    }
-
-    #[test]
-    fn harvests_experiment_imports() {
-        let src = "use navarchos_bench::experiments::{figure1, paper_fleet};\nuse navarchos_bench::report::emit;\nuse navarchos_bench::experiments::table1;";
-        let got: Vec<String> =
-            imported_experiments(&lex(src).toks).into_iter().map(|(f, _)| f).collect();
-        assert_eq!(got, ["figure1", "paper_fleet", "table1"]);
     }
 
     #[test]

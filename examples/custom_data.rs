@@ -1,7 +1,7 @@
 //! Bring your own data: export simulated telemetry to CSV (standing in for
-//! a real fleet-management export), load it back, and monitor it with a
-//! custom framework instantiation — the histogram transformation extension
-//! plus the isolation-forest detector — instead of the paper's defaults.
+//! a real fleet-management export), load it back, and monitor it by hand
+//! with the framework's building blocks: the correlation transformation
+//! and the Closest-pair detector, the configuration of the paper's Table 2.
 //!
 //! Run with:
 //! ```text
@@ -13,7 +13,7 @@ use navarchos_core::reference::ReferenceProfile;
 use navarchos_core::Transform;
 use navarchos_fleetsim::FleetConfig;
 use navarchos_tsframe::csv::{read_csv, write_csv};
-use navarchos_tsframe::{FilterSpec, HistogramTransform};
+use navarchos_tsframe::{CorrelationTransform, FilterSpec};
 
 fn main() {
     // 1. Pretend this CSV came from a real FMS export.
@@ -34,19 +34,17 @@ fn main() {
     let filtered = FilterSpec::navarchos_default().apply(&frame);
     println!("loaded {} records, {} after filtering", frame.len(), filtered.len());
 
-    // 3. A custom step-1/step-3 instantiation: histogram features scored
-    //    by an isolation forest.
-    let ranges = HistogramTransform::navarchos_ranges();
-    let mut transform = HistogramTransform::new(filtered.names(), &ranges, 6, 45, 3);
+    // 3. Step 1 by hand: hour-long correlation windows every 10 minutes.
+    let mut transform = CorrelationTransform::new(filtered.names(), 45, 3).with_differencing();
     let features = transform.apply(&filtered);
     println!(
-        "histogram transformation: {} windows × {} features",
+        "correlation transformation: {} windows × {} features",
         features.len(),
         features.width()
     );
 
     // 4. Fit on the first stretch (the reference profile), score the rest.
-    let mut detector = DetectorKind::IsolationForest.build(
+    let mut detector = DetectorKind::ClosestPair.build(
         features.width(),
         features.names(),
         &DetectorParams::default(),
@@ -58,11 +56,12 @@ fn main() {
     }
     detector.fit(&profile);
 
-    // 5. Report the scores by fortnight so the fault ramp stands out.
+    // 5. Report the scores by fortnight so the fault ramp stands out. A
+    //    window's score is its largest per-feature closest-pair distance.
     let mut buckets: Vec<(i64, f64, usize)> = Vec::new();
     for i in ref_len..features.len() {
         let t = features.timestamps()[i];
-        let score = detector.score(&features.row(i))[0];
+        let score = detector.score(&features.row(i)).into_iter().fold(0.0, f64::max);
         let day = (t - navarchos_fleetsim::START_EPOCH) / 86_400;
         let bucket = day / 14;
         match buckets.last_mut() {
@@ -75,7 +74,10 @@ fn main() {
     }
     let fault_start_day = (fault.start - navarchos_fleetsim::START_EPOCH) / 86_400;
     let repair_day = (fault.repair - navarchos_fleetsim::START_EPOCH) / 86_400;
-    println!("\nmean isolation-forest score per fortnight (fault ramp days {fault_start_day}–{repair_day}):");
+    println!(
+        "\nmean closest-pair score per fortnight (fault ramp days {fault_start_day}–{repair_day}):"
+    );
+    let top = buckets.iter().map(|(_, sum, n)| sum / *n as f64).fold(0.0, f64::max);
     for (bucket, sum, n) in &buckets {
         let mean = sum / *n as f64;
         let lo = bucket * 14;
@@ -85,7 +87,7 @@ fn main() {
             lo,
             lo + 13,
             mean,
-            "#".repeat(((mean - 0.3).max(0.0) * 100.0) as usize)
+            "#".repeat((mean / top.max(f64::MIN_POSITIVE) * 40.0) as usize)
         );
     }
 }
