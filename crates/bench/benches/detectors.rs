@@ -105,7 +105,10 @@ fn bench_score(c: &mut Criterion) {
 
 /// End-to-end scoring path of the paper's best cell (correlation ×
 /// closest-pair) over one vehicle's telemetry — the per-vehicle unit of
-/// work that Table 1's correlation column sums across the fleet.
+/// work that Table 1's correlation column sums across the fleet — with
+/// metrics off, and again with metrics on (sampled stage clocks, counters
+/// and histograms flushed once per vehicle), so the two lines side by side
+/// read as the cost of recording.
 fn bench_scoring_path(c: &mut Criterion) {
     let mut cfg = FleetConfig::small(1);
     cfg.n_vehicles = 1;
@@ -119,9 +122,16 @@ fn bench_scoring_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("scoring_path");
     group.throughput(Throughput::Elements(frame.len() as u64));
     group.sample_size(10);
+    let was_on = navarchos_obs::metrics_enabled();
+    navarchos_obs::set_metrics_enabled(false);
     group.bench_function("correlation_closest_pair_w45_s3", |b| {
         b.iter(|| run_vehicle(frame, &[], &params).timestamps.len())
     });
+    navarchos_obs::set_metrics_enabled(true);
+    group.bench_function("correlation_closest_pair_w45_s3_metrics_on", |b| {
+        b.iter(|| run_vehicle(frame, &[], &params).timestamps.len())
+    });
+    navarchos_obs::set_metrics_enabled(was_on);
     group.finish();
 }
 

@@ -99,11 +99,15 @@ fn bench_par(c: &mut Criterion) {
 
 /// The observability substrate: sharded log-linear `Histogram` recording
 /// (the per-task probe `par_map` pays when metrics are on), the
-/// `BatchedRecorder` that hot loops batch into it, NDJSON event encoding
-/// via `encode_ndjson` (the per-event sink cost), and the `fold_spans`
+/// `BatchedRecorder` that hot loops batch into it, the mergeable
+/// `QuantileSketch` (record, quantile query, and a 64-way merge as a fleet
+/// snapshot folds per-shard sketches), NDJSON event encoding via
+/// `encode_ndjson` (the per-event sink cost), and the `fold_spans`
 /// trace-to-flamegraph converter.
 fn bench_obs(c: &mut Criterion) {
-    use navarchos_obs::{encode_ndjson, BatchedRecorder, Event, Histogram, SpanClose};
+    use navarchos_obs::{
+        encode_ndjson, BatchedRecorder, Event, Histogram, QuantileSketch, SpanClose,
+    };
     use std::sync::Arc;
 
     let mut group = c.benchmark_group("obs_kernels");
@@ -125,6 +129,47 @@ fn bench_obs(c: &mut Criterion) {
             rec.record(v >> 40);
         })
     });
+
+    // Deterministic, well-spread values: a multiplicative hash of the index.
+    let value = |i: usize| (i.wrapping_mul(2_654_435_761) % 1_000_003) as f64;
+    let mut sk = QuantileSketch::default();
+    let mut n = 0usize;
+    group.bench_function("sketch_record", |b| {
+        b.iter(|| {
+            n += 1;
+            sk.record(value(n));
+        })
+    });
+    let mut full = QuantileSketch::default();
+    for i in 0..100_000 {
+        full.record(value(i));
+    }
+    let mut q = 0usize;
+    group.bench_function("sketch_quantile", |b| {
+        b.iter(|| {
+            q = (q + 1) % 1000;
+            full.quantile(q as f64 / 1000.0)
+        })
+    });
+    let shards: Vec<QuantileSketch> = (0..64)
+        .map(|s| {
+            let mut shard = QuantileSketch::default();
+            for i in 0..100_000 / 64 {
+                shard.record(value(s * (100_000 / 64) + i));
+            }
+            shard
+        })
+        .collect();
+    group.bench_function("sketch_merge_64", |b| {
+        b.iter(|| {
+            let mut merged = QuantileSketch::default();
+            for shard in &shards {
+                merged.merge(shard);
+            }
+            merged.count()
+        })
+    });
+
     let e = Event::new("bench.encode")
         .field("vehicle", 17u64)
         .field("feature", "coolant~rpm")

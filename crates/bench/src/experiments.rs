@@ -521,7 +521,7 @@ pub fn figure8(fleet: &FleetData, outcome: &GridOutcome, factor: f64) -> String 
     let vd = &fleet.vehicles[vehicle];
     let mut out = format!(
         "Figure 8 — Closest-pair anomaly scores on correlation data, {}\n\
-         (daily 80th-percentile scores; '·' below threshold, '▲' above;\n\
+         (daily 85th-percentile scores; '·' below threshold, '▲' above;\n\
          one row per correlation feature, one column per scored day;\n\
          events: S service, R repair; threshold factor {factor})\n\n",
         vd.id

@@ -3,7 +3,6 @@
 //! per-experiment index), and for the Criterion micro-benchmarks.
 
 pub mod artefacts;
-pub mod baseline;
 pub mod experiments;
 pub mod exploration;
 pub mod grid;

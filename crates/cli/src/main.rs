@@ -25,13 +25,10 @@
 //!     `--verify` replays each vehicle sorted and exits nonzero unless the
 //!     engine's alarms are identical.
 //!
-//! navarchos check-manifest --path FILE [--against BASELINE] [--slo-p99-ms N]
-//!     Validate a run manifest against the navarchos-run-manifest schema
-//!     (v2, or v1 for committed baselines), optionally gate the
-//!     `alarm.latency_ns` p99 against an SLO, and optionally diff the
-//!     manifest structurally against a committed baseline with relative
-//!     tolerances (nonzero exit on regression) — the machine checks CI
-//!     runs over emitted manifests.
+//! navarchos check-manifest --path FILE [--slo-p99-ms N]
+//!     Validate a run manifest against the navarchos-run-manifest/v2
+//!     schema and optionally gate the `alarm.latency_ns` p99 against an
+//!     SLO — the machine checks CI runs over emitted manifests.
 //!
 //! navarchos top --addr HOST:PORT [--interval-ms N] [--iterations N]
 //!     Poll a live `--metrics-addr` scrape endpoint and render a refreshing
@@ -127,9 +124,7 @@ USAGE:
                          [--verify] [--metrics] [--manifest FILE] [--batch-size N] [--journal FILE]
                          [--checkpoint-every N [--checkpoint FILE]] [--restore FILE]
                          [--metrics-addr HOST:PORT [--snapshot-ms N] [--hold-s N]]
-  navarchos check-manifest --path FILE [--against BASELINE] [--tol-pct N] [--time-tol-pct N]
-                           [--ignore k1,k2] [--slo-p99-ms N]
-  navarchos check-manifest --trend DIR [--time-tol-pct N] [--ignore k1,k2]
+  navarchos check-manifest --path FILE [--slo-p99-ms N]
   navarchos top --addr HOST:PORT [--interval-ms N] [--iterations N]
   navarchos help
 
@@ -138,9 +133,6 @@ OBSERVABILITY:
   --metrics         record counters/histograms (or NAVARCHOS_METRICS=1; any non-empty
                     value except 0/false/off enables); evaluate and explore also write
                     a run manifest + NDJSON trace next to it
-  --against FILE    diff the checked manifest against a committed baseline manifest;
-                    regressions beyond tolerance exit nonzero (--tol-pct two-sided,
-                    --time-tol-pct for timings, --ignore to skip exact keys)
   --slo-p99-ms N    fail check-manifest when the manifest's alarm.latency_ns p99
                     exceeds N milliseconds
   --metrics-addr A  serve the latest metric snapshot as Prometheus text on A
@@ -168,11 +160,7 @@ OBSERVABILITY:
                     with --corrupt-mode bias [--corrupt-bias F]; drives the
                     ingest.quality.* monitors and the alert.* burn rates
                     (with --metrics/--metrics-addr, burn-rate alerts are
-                    evaluated at each batch boundary and exported)
-  --trend DIR       walk the committed BENCH_PR*.json history in PR order and fail
-                    on any consecutive timing regression beyond --time-tol-pct
-                    (timing keys shared by both manifests only; files that are not
-                    run manifests are reported and skipped)";
+                    evaluated at each batch boundary and exported)";
 
 /// Switches that take no value; everything else is `--name value`.
 const BOOL_FLAGS: &[&str] = &["trace", "metrics", "verify"];
@@ -393,8 +381,7 @@ fn cmd_evaluate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let _ops = start_ops_plane(flags)?;
 
     // With --metrics the run writes a manifest (and, unless a sink is
-    // already installed, an NDJSON trace next to it) so files like
-    // BENCH_PR3.json are generated, never hand-edited.
+    // already installed, an NDJSON trace next to it).
     let mut manifest = flags.contains_key("metrics").then(|| obs::Manifest::new("evaluate"));
     let manifest_path = match flags.get("manifest") {
         Some(p) => PathBuf::from(p),
@@ -1170,17 +1157,12 @@ fn manifest_identity(doc: &obs::Json) -> String {
     format!("{schema} · {command} @ {git} · {config}")
 }
 
-/// Parses a run manifest and checks it against the schema (v2, or v1 for
-/// committed baselines); the CI smoke job runs this over the manifest an
-/// `evaluate --metrics` run emits. `--slo-p99-ms` additionally gates the
-/// `alarm.latency_ns` p99, and `--against` diffs the manifest against a
-/// committed baseline with relative tolerances, exiting nonzero on any
-/// regression.
+/// Parses a run manifest and checks it against the v2 schema; the CI smoke
+/// jobs run this over the manifests `evaluate --metrics` and `serve-replay
+/// --metrics` emit. `--slo-p99-ms` additionally gates the
+/// `alarm.latency_ns` p99.
 fn cmd_check_manifest(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    if let Some(dir) = flags.get("trend") {
-        return check_manifest_trend(Path::new(dir), flags);
-    }
-    let path: PathBuf = flags.get("path").ok_or("--path FILE or --trend DIR is required")?.into();
+    let path: PathBuf = flags.get("path").ok_or("--path FILE is required")?.into();
     let doc = read_manifest(&path)?;
     println!("{}: valid — {}", path.display(), manifest_identity(&doc));
 
@@ -1192,8 +1174,8 @@ fn cmd_check_manifest(flags: &BTreeMap<String, String>) -> Result<(), String> {
             .and_then(|h| h.get("p99"))
             .and_then(obs::Json::as_num)
             .ok_or_else(|| {
-                "--slo-p99-ms: manifest has no alarm.latency_ns histogram; produce one with a \
-                 metrics-enabled run that replays alarms (evaluate --metrics or bench_baseline)"
+                "--slo-p99-ms: manifest has no alarm.latency_ns histogram; produce one with \
+                 evaluate --metrics, which replays every vehicle's alarms"
                     .to_string()
             })?;
         let p99_ms = p99_ns / 1.0e6;
@@ -1202,103 +1184,6 @@ fn cmd_check_manifest(flags: &BTreeMap<String, String>) -> Result<(), String> {
         }
         println!("alarm latency SLO ok: p99 {p99_ms:.3} ms <= {slo_ms} ms");
     }
-
-    if let Some(baseline_path) = flags.get("against") {
-        let baseline = read_manifest(Path::new(baseline_path))?;
-        let cfg = obs::DiffConfig {
-            tol_pct: get_num(flags, "tol-pct", 25.0)?,
-            time_tol_pct: get_num(flags, "time-tol-pct", 50.0)?,
-            ignore: flags
-                .get("ignore")
-                .map(|s| {
-                    s.split(',').map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect()
-                })
-                .unwrap_or_default(),
-            eps: 1e-6,
-        };
-        let report = obs::diff_manifests(&doc, &baseline, &cfg);
-        print!("{}", report.render());
-        if !report.ok() {
-            return Err(format!(
-                "{} regression(s) against {baseline_path}",
-                report.regressions.len()
-            ));
-        }
-        println!("no regressions against {baseline_path}");
-    }
-    Ok(())
-}
-
-/// The PR number of a committed `BENCH_PR<k>.json` benchmark record.
-fn bench_pr_number(name: &str) -> Option<u32> {
-    name.strip_prefix("BENCH_PR")?.strip_suffix(".json")?.parse().ok()
-}
-
-/// `check-manifest --trend DIR`: walks every `BENCH_PR<k>.json` in `DIR` in
-/// PR order and holds each consecutive pair of *run manifests* to the
-/// timing-only trend rule ([`obs::diff_timings`]) — committed history must
-/// not get monotonically slower past tolerance. Files in the series that
-/// are not run manifests (the pre-manifest bench records) are reported and
-/// skipped rather than failing the walk.
-fn check_manifest_trend(dir: &Path, flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let rd = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut series: Vec<(u32, String)> = rd
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            bench_pr_number(&name).map(|k| (k, name))
-        })
-        .collect();
-    series.sort();
-    if series.len() < 2 {
-        return Err(format!(
-            "--trend: found {} BENCH_PR*.json file(s) in {} — need at least 2 to walk",
-            series.len(),
-            dir.display()
-        ));
-    }
-
-    let cfg = obs::DiffConfig {
-        tol_pct: get_num(flags, "tol-pct", 25.0)?,
-        time_tol_pct: get_num(flags, "time-tol-pct", 50.0)?,
-        ignore: flags
-            .get("ignore")
-            .map(|s| s.split(',').map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect())
-            .unwrap_or_default(),
-        eps: 1e-6,
-    };
-
-    let mut prev: Option<(String, obs::Json)> = None;
-    let mut steps = 0usize;
-    let mut regressions = 0usize;
-    for (_, name) in &series {
-        let doc = match read_manifest(&dir.join(name)) {
-            Ok(doc) => doc,
-            Err(e) => {
-                println!("{name}: not a run manifest, skipped ({e})");
-                continue;
-            }
-        };
-        println!("{name}: {}", manifest_identity(&doc));
-        if let Some((prev_name, prev_doc)) = &prev {
-            let report = obs::diff_timings(&doc, prev_doc, &cfg);
-            steps += 1;
-            if report.ok() {
-                println!("  {prev_name} -> {name}: ok ({} timing comparison(s))", report.compared);
-            } else {
-                print!("{}", report.render());
-                regressions += report.regressions.len();
-            }
-        }
-        prev = Some((name.clone(), doc));
-    }
-    if steps == 0 {
-        return Err("--trend: fewer than 2 valid run manifests in the series".to_string());
-    }
-    if regressions > 0 {
-        return Err(format!("{regressions} timing regression(s) across {steps} trend step(s)"));
-    }
-    println!("trend ok: {steps} step(s), no timing regressions beyond {}%", cfg.time_tol_pct);
     Ok(())
 }
 
@@ -1595,15 +1480,6 @@ mod tests {
 
     fn flags(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
         pairs.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect()
-    }
-
-    #[test]
-    fn bench_pr_numbers_parse_numerically() {
-        assert_eq!(bench_pr_number("BENCH_PR3.json"), Some(3));
-        assert_eq!(bench_pr_number("BENCH_PR12.json"), Some(12));
-        assert_eq!(bench_pr_number("BENCH.json"), None);
-        assert_eq!(bench_pr_number("BENCH_PRx.json"), None);
-        assert_eq!(bench_pr_number("BENCH_PR3.json.bak"), None);
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub struct PipelineConfig {
     pub reset_policy: ResetPolicy,
     /// Record filter applied before transformation.
     pub filter: FilterSpec,
-    /// Dynamics floors for the correlation transformation (None = no
-    /// gating).
-    pub corr_floors: Option<Vec<f64>>,
 }
 
 /// The paper's sizes for a transformation, as `(window, stride,
@@ -75,7 +72,6 @@ impl PipelineConfig {
             constant_threshold: 0.5,
             reset_policy: ResetPolicy::OnServiceOrRepair,
             filter: FilterSpec::navarchos_default(),
-            corr_floors: None,
         }
     }
 }
@@ -271,13 +267,7 @@ impl StreamingPipeline {
         scope: Option<&str>,
     ) -> Self {
         let input_names: Vec<String> = input_names.iter().map(|s| s.as_ref().to_string()).collect();
-        let transform = crate::runner::build_transform(
-            cfg.transform,
-            &input_names,
-            cfg.window,
-            cfg.stride,
-            &cfg.corr_floors,
-        );
+        let transform = cfg.transform.build(&input_names, cfg.window, cfg.stride);
         let dim = transform.output_dim();
         let names = transform.output_names();
         let detector = cfg.detector.build(dim, &names, &cfg.detector_params);
@@ -581,9 +571,8 @@ impl Restore for StreamingPipeline {
 /// [`StreamingPipeline`], interleaving maintenance events at their
 /// recorded times — the measurement pass behind `alarm.latency_ns`: the
 /// batch runner scores retrospectively and never raises runtime alarms,
-/// so `evaluate --metrics` and `bench_baseline` replay the stream through
-/// the online path to observe real emission latencies. Returns every
-/// alarm raised.
+/// so `evaluate --metrics` replays the stream through the online path to
+/// observe real emission latencies. Returns every alarm raised.
 pub fn replay_stream(
     frame: &Frame,
     maintenance: &[(i64, bool)],
@@ -647,7 +636,6 @@ mod tests {
             constant_threshold: 0.5,
             reset_policy: ResetPolicy::OnServiceOrRepair,
             filter: FilterSpec::default(),
-            corr_floors: None,
         };
         StreamingPipeline::new(&["a", "b"], cfg)
     }
@@ -726,7 +714,6 @@ mod tests {
             constant_threshold: 0.6,
             reset_policy: ResetPolicy::OnServiceOrRepair,
             filter: FilterSpec::default(),
-            corr_floors: None,
         };
         let mut p = StreamingPipeline::new(&["a", "b"], cfg);
         // Healthy 2-D cloud.

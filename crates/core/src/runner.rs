@@ -34,14 +34,11 @@ pub struct RunnerParams {
     pub reset_policy: ResetPolicy,
     /// Record filter.
     pub filter: FilterSpec,
-    /// Dynamics floors for the correlation transformation (None = no
-    /// gating).
-    pub corr_floors: Option<Vec<f64>>,
     /// Aggregate per-sample scores into per-day channel upper quantiles
-    /// (q = 0.8) before thresholding. A developing fault perturbs a large
+    /// (q = 0.85) before thresholding. A developing fault perturbs a large
     /// fraction of each day's windows (intermittent symptoms recur all
     /// day), lifting the day's upper quantile; healthy statistical churn
-    /// hits isolated windows (a few percent), which an 80th percentile
+    /// hits isolated windows (a few percent), which an 85th percentile
     /// ignores. Daily aggregation therefore separates persistent
     /// degradation from noise far better than per-sample scores.
     pub daily_median: bool,
@@ -64,35 +61,9 @@ impl RunnerParams {
             holdout,
             reset_policy: ResetPolicy::OnServiceOrRepair,
             filter: FilterSpec::navarchos_default(),
-            corr_floors: None,
             daily_median: true,
             holdout_days: 8,
         }
-    }
-}
-
-/// Builds the step-1 transformation with the correlation dynamics floors
-/// applied when configured.
-pub(crate) fn build_transform(
-    kind: TransformKind,
-    input_names: &[String],
-    window: usize,
-    stride: usize,
-    corr_floors: &Option<Vec<f64>>,
-) -> Box<dyn navarchos_tsframe::Transform> {
-    match (kind, corr_floors) {
-        (TransformKind::Correlation, Some(floors)) if floors.len() == input_names.len() => {
-            Box::new(
-                navarchos_tsframe::CorrelationTransform::new(input_names, window, stride)
-                    .with_min_std(floors.clone())
-                    .with_differencing(),
-            )
-        }
-        (TransformKind::Correlation, None) => Box::new(
-            navarchos_tsframe::CorrelationTransform::new(input_names, window, stride)
-                .with_differencing(),
-        ),
-        _ => kind.build(input_names, window, stride),
     }
 }
 
@@ -225,11 +196,6 @@ impl VehicleScores {
     }
 }
 
-/// Runs the framework over one vehicle's telemetry, resetting the
-/// reference at the recorded maintenance times in `reset_times`
-/// (time-sorted; already filtered to the reset policy's event kinds by
-/// the caller via [`ResetPolicy`] is *not* required — the policy in
-/// `params` is applied here given `(time, is_repair)` pairs).
 /// Per-vehicle observability accumulators: cheap locals bumped inside the
 /// scoring loop (no atomics), flushed to the global registry once per
 /// vehicle. With metrics disabled the loop pays one branch per record.
@@ -270,6 +236,11 @@ impl VehicleObs {
     }
 }
 
+/// Runs the framework over one vehicle's telemetry and records every
+/// score, resetting the reference at the maintenance events in
+/// `maintenance`: time-sorted `(time, is_repair)` pairs. The caller need
+/// not filter them by kind; the [`ResetPolicy`] in `params` decides here
+/// which events reset.
 pub fn run_vehicle(
     frame: &Frame,
     maintenance: &[(i64, bool)],
@@ -278,19 +249,12 @@ pub fn run_vehicle(
     let _span = obs::span("run_vehicle");
     let obs_on = obs::metrics_enabled();
     let started = obs_on.then(Instant::now);
-    // Loaded once per vehicle: the power-of-two sampling gate for the
-    // per-record stage clocks (mask 0 = every record).
+    // The power-of-two sampling gate for the per-record stage clocks.
     let probe_mask = obs::probe_sample_mask();
     let mut vobs = VehicleObs::default();
     let input_names = frame.names();
     let row_filter = params.filter.resolve(input_names);
-    let mut transform = build_transform(
-        params.transform,
-        input_names,
-        params.window,
-        params.stride,
-        &params.corr_floors,
-    );
+    let mut transform = params.transform.build(input_names, params.window, params.stride);
     let dim = transform.output_dim();
     let names = transform.output_names();
     let mut detector = params.detector.build(dim, &names, &params.detector_params);
@@ -551,7 +515,6 @@ mod tests {
             holdout: 10,
             reset_policy: ResetPolicy::OnServiceOrRepair,
             filter: FilterSpec::default(),
-            corr_floors: None,
             daily_median: false,
             holdout_days: 8,
         }

@@ -246,7 +246,6 @@ mod tests {
         cfg.pipeline.profile_length = 6;
         cfg.pipeline.holdout = 4;
         cfg.pipeline.filter = navarchos_tsframe::FilterSpec::default();
-        cfg.pipeline.corr_floors = None;
         cfg.horizon_s = 300;
         cfg
     }

@@ -1,6 +1,6 @@
 //! Property-based tests for the nearest-neighbour machinery.
 
-use navarchos_neighbors::{euclidean, KdTree, KnnIndex, LofModel, Metric, SortedNeighbors};
+use navarchos_neighbors::{euclidean, KnnIndex, LofModel, Metric, SortedNeighbors};
 use proptest::prelude::*;
 
 fn points(dim: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -85,37 +85,6 @@ proptest! {
             col.sort_by(|a, b| a.total_cmp(b));
             let expected = navarchos_stat::descriptive::quantile_sorted(&col, 0.5);
             prop_assert!((med[c] - expected).abs() < 1e-9);
-        }
-    }
-}
-
-proptest! {
-    #[test]
-    fn kdtree_matches_brute_force(
-        pts in points(4, 2..128),
-        queries in points(4, 1..8),
-        k in 1usize..12,
-    ) {
-        let tree = KdTree::new(&pts, 4);
-        let brute = KnnIndex::new(&pts, 4, Metric::Euclidean);
-        for q in &queries {
-            let a = tree.nearest(q, k, None);
-            let b = brute.nearest(q, k, None);
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert!((x.1 - y.1).abs() < 1e-9, "{:?} vs {:?}", x, y);
-            }
-        }
-    }
-
-    #[test]
-    fn kdtree_loo_never_returns_self(
-        pts in points(3, 2..64),
-    ) {
-        let tree = KdTree::new(&pts, 3);
-        for (i, p) in pts.iter().enumerate() {
-            let nn = tree.nearest(p, 3, Some(i));
-            prop_assert!(nn.iter().all(|&(j, _)| j != i));
         }
     }
 }

@@ -5,9 +5,9 @@
 //! never be the reason a fleet run fails to build), mirroring the vendored
 //! shims' philosophy. The design optimises for the *disabled* case: with
 //! tracing and metrics off — the default — instrumented code pays one
-//! relaxed atomic load per probe, which is how the scoring kernels keep
-//! their PR 2 benchmark numbers (see `BENCH_PR3.json` for the measured
-//! overhead).
+//! relaxed atomic load per probe. The `scoring_path` Criterion group in
+//! `navarchos-bench` times the Closest-pair scoring loop with metrics off
+//! and on, side by side.
 //!
 //! # Switches
 //!
@@ -32,14 +32,12 @@
 //! [`json`] (value/writer/parser) → [`event`] (NDJSON encode/decode) →
 //! [`sink`] (null / stderr / NDJSON file) → [`metrics`] (registry) →
 //! [`sketch`] (mergeable quantile sketches) → [`span`] (RAII timing) →
-//! [`manifest`] (per-run JSON document) → [`flame`] (trace → folded
-//! stacks) → [`diff`] (manifest regression diff) → [`snapshot`]
-//! (periodic registry snapshots + deltas) → [`export`] (Prometheus text
-//! exposition + scrape endpoint) → [`alert`] (multi-window burn-rate
-//! alerting over the snapshot ring).
+//! [`manifest`] (per-run JSON document + schema check) → [`flame`]
+//! (trace → folded stacks) → [`snapshot`] (periodic registry snapshots +
+//! deltas) → [`export`] (Prometheus text exposition + scrape endpoint) →
+//! [`alert`] (multi-window burn-rate alerting over the snapshot ring).
 
 pub mod alert;
-pub mod diff;
 pub mod event;
 pub mod export;
 pub mod flame;
@@ -52,7 +50,6 @@ pub mod snapshot;
 pub mod span;
 
 pub use alert::{default_policies, AlertState, AlertTransition, BurnRateEvaluator, BurnRatePolicy};
-pub use diff::{diff_manifests, diff_timings, DiffConfig, DiffReport};
 pub use event::{encode_ndjson, parse_line, Event};
 pub use export::{
     parse_exposition, render_prometheus, sanitize_metric_name, scrape, serve_metrics,
@@ -62,8 +59,8 @@ pub use flame::{fold_spans, fold_trace, render_folded, SpanClose};
 pub use json::Json;
 pub use manifest::{stage_clock, Manifest, StageClock};
 pub use metrics::{
-    counter, gauge, histogram, probe_sample_mask, set_probe_sample_shift, sketch, BatchedRecorder,
-    Counter, Gauge, Histogram,
+    counter, gauge, histogram, probe_sample_mask, sketch, BatchedRecorder, Counter, Gauge,
+    Histogram,
 };
 pub use sink::{NdjsonSink, NullSink, Sink, StderrSink};
 pub use sketch::{rank_error_bound, QuantileSketch, Sketch};

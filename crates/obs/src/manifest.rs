@@ -1,18 +1,17 @@
 //! Run manifests: one JSON document per run that records what ran, on what
 //! code, with what configuration, how long each stage took and what it
-//! found — so bench-trajectory files like `BENCH_PR3.json` are generated by
-//! the run itself, never hand-edited.
+//! found. The CLI's `evaluate`/`explore --metrics` and `serve-replay
+//! --metrics` runs write one; `navarchos check-manifest` checks it.
 //!
 //! Schema (`navarchos-run-manifest/v2`): an object with [`REQUIRED_KEYS`];
 //! `stages` is an array of `{name, wall_seconds, cpu_seconds}` entries,
 //! `counters` maps metric names to integers, `histograms` maps names to
 //! `{count, mean, p50, p90, p99, p999, min, max}` summaries, `host` records the
-//! machine the run executed on (`{os, arch, cpus}` — timing baselines are
-//! only comparable within a host class), and `metrics` holds domain
-//! results (detection F-scores, overhead percentages, ...). v2 extends v1
-//! additively (`host` object, `p90` quantile); [`validate`] — the machine
-//! check CI runs over emitted manifests — therefore still accepts v1
-//! documents such as the committed `BENCH_PR3.json`.
+//! machine the run executed on (`{os, arch, cpus}` — timings are only
+//! comparable within a host class), and `metrics` holds domain results
+//! (detection F-scores, alarm counts, ...). [`validate`] — the machine
+//! check CI runs over emitted manifests — accepts this schema only and
+//! names any other in its error.
 
 use std::path::Path;
 use std::time::Instant;
@@ -23,15 +22,12 @@ use crate::metrics;
 /// Schema identifier written into every manifest.
 pub const SCHEMA: &str = "navarchos-run-manifest/v2";
 
-/// Previous schema version, still accepted by [`validate`] so committed
-/// baselines keep validating.
-pub const SCHEMA_V1: &str = "navarchos-run-manifest/v1";
-
 /// Keys every manifest must contain to pass [`validate`].
 pub const REQUIRED_KEYS: &[&str] = &[
     "schema",
     "command",
     "git",
+    "host",
     "config",
     "stages",
     "counters",
@@ -116,7 +112,7 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Starts a manifest for `command` (`"evaluate"`, `"bench_baseline"`,
+    /// Starts a manifest for `command` (`"evaluate"`, `"serve-replay"`,
     /// ...). Clocks start now.
     pub fn new(command: &str) -> Manifest {
         Manifest {
@@ -235,9 +231,8 @@ impl Manifest {
             ("config".to_string(), Json::Obj(self.config)),
             ("stages".to_string(), stages),
             ("counters".to_string(), counters),
-            // Additive beyond REQUIRED_KEYS: committed pre-gauge baselines
-            // (BENCH_PR5, BENCH_PR8) must keep validating, so `gauges` and
-            // `sketches` are emitted always but required never.
+            // Additive beyond REQUIRED_KEYS: `gauges` and `sketches` are
+            // emitted always but required never.
             ("gauges".to_string(), gauges),
             ("histograms".to_string(), histograms),
             ("sketches".to_string(), sketches),
@@ -253,9 +248,9 @@ impl Manifest {
     }
 }
 
-/// Checks a parsed manifest against the schema (v2, or v1 for committed
-/// baselines): all [`REQUIRED_KEYS`] present, sections of the right
-/// shape, `host` required for v2. Returns every problem found.
+/// Checks a parsed manifest against the [`SCHEMA`]: the schema named, all
+/// [`REQUIRED_KEYS`] present, sections of the right shape. Returns every
+/// problem found.
 pub fn validate(doc: &Json) -> Result<(), String> {
     let Json::Obj(_) = doc else {
         return Err("manifest is not a JSON object".to_string());
@@ -266,17 +261,10 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             problems.push(format!("missing required key `{key}`"));
         }
     }
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => match doc.get("host") {
-            Some(Json::Obj(_)) => {}
-            Some(_) => problems.push("`host` must be an object".to_string()),
-            None => problems.push("missing required key `host` (v2)".to_string()),
-        },
-        Some(s) if s == SCHEMA_V1 => {}
-        Some(s) => {
-            problems.push(format!("schema is `{s}`, expected `{SCHEMA}` (or `{SCHEMA_V1}`)"))
+    if let Some(s) = doc.get("schema").and_then(Json::as_str) {
+        if s != SCHEMA {
+            problems.push(format!("schema is `{s}`, expected `{SCHEMA}`"));
         }
-        None => {}
     }
     if let Some(stages) = doc.get("stages") {
         match stages {
@@ -293,9 +281,9 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             _ => problems.push("`stages` must be an array".to_string()),
         }
     }
-    // `gauges` and `sketches` are additive (absent from pre-PR-9
-    // baselines): shape-checked only when present.
-    for section in ["config", "counters", "histograms", "metrics", "gauges", "sketches"] {
+    // `gauges` and `sketches` are optional: shape-checked only when
+    // present.
+    for section in ["host", "config", "counters", "histograms", "metrics", "gauges", "sketches"] {
         if let Some(v) = doc.get(section) {
             if !matches!(v, Json::Obj(_)) {
                 problems.push(format!("`{section}` must be an object"));
@@ -349,8 +337,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_validate_and_v2_requires_host() {
-        // A committed v1 baseline (no `host`, no `p90`) must keep passing.
+    fn v1_documents_are_refused_and_v2_requires_host() {
+        // A complete v1 document (no `host`, no `p90`) is refused by its
+        // schema name: every writer emits v2.
         let v1 = json::parse(
             r#"{"schema": "navarchos-run-manifest/v1", "command": "bench",
                 "git": "abc", "config": {}, "stages": [], "counters": {},
@@ -358,11 +347,13 @@ mod tests {
                 "cpu_seconds": 1.0}"#,
         )
         .unwrap();
-        validate(&v1).unwrap();
+        let err = validate(&v1).unwrap_err();
+        assert!(err.contains("schema is `navarchos-run-manifest/v1`"), "{err}");
         // The same document claiming v2 must be rejected for missing host.
         let v2 = json::parse(&v1.to_pretty_string().replace("manifest/v1", "manifest/v2")).unwrap();
         let err = validate(&v2).unwrap_err();
         assert!(err.contains("host"), "{err}");
+        assert!(!err.contains("schema is"), "{err}");
     }
 
     #[test]

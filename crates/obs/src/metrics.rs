@@ -13,7 +13,7 @@
 //! `u64` range with [`BUCKETS`] = 496 slots total.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::sketch::{QuantileSketch, Sketch};
@@ -30,28 +30,17 @@ const SHARDS: usize = 16;
 
 /// Probe sampling shift for per-record hot-path timing: instrumented loops
 /// clock only every `2^shift`-th record and scale the accumulated sums back
-/// up at flush time. The default (6 → 1 in 64) cuts the metrics-on
-/// fleet-scoring overhead from ~30 % to a few percent while leaving the
-/// per-vehicle stage estimates within sampling noise (each vehicle still
-/// contributes hundreds of clocked records). `bench_baseline` sets it to 0
-/// to measure the unsampled "before" cost.
-static PROBE_SAMPLE_SHIFT: AtomicU32 = AtomicU32::new(6);
+/// up at flush time. 6 (1 in 64) cuts the metrics-on fleet-scoring
+/// overhead from ~30 % to a few percent while leaving the per-vehicle
+/// stage estimates within sampling noise (each vehicle still contributes
+/// hundreds of clocked records).
+const PROBE_SAMPLE_SHIFT: u32 = 6;
 
-/// Sets the probe sampling shift (clamped to `0..=20`); 0 clocks every
-/// record.
-pub fn set_probe_sample_shift(shift: u32) {
-    // Relaxed: a tuning knob read independently per record; no other data
-    // is published through it.
-    PROBE_SAMPLE_SHIFT.store(shift.min(20), Ordering::Relaxed);
-}
-
-/// The current probe sampling mask: a record index `i` is clocked when
-/// `i & mask == 0`, so a mask of 0 samples everything.
+/// The probe sampling mask: a record index `i` is clocked when
+/// `i & mask == 0`.
 #[inline]
 pub fn probe_sample_mask() -> u64 {
-    // Relaxed: a stale shift only mis-samples a few records around a
-    // retune; every value in 0..=20 is valid.
-    (1u64 << PROBE_SAMPLE_SHIFT.load(Ordering::Relaxed)) - 1
+    (1u64 << PROBE_SAMPLE_SHIFT) - 1
 }
 
 /// Maps a value to its bucket index. Total over `u64`, monotone.
@@ -556,14 +545,8 @@ mod tests {
 
     #[test]
     fn probe_sample_shift_controls_the_mask() {
-        set_probe_sample_shift(0);
-        assert_eq!(probe_sample_mask(), 0, "shift 0 samples every record");
-        set_probe_sample_shift(6);
-        assert_eq!(probe_sample_mask(), 63);
+        assert_eq!(probe_sample_mask(), 63, "one record in 64 is clocked");
         assert_eq!((0..640u64).filter(|i| i & probe_sample_mask() == 0).count(), 10);
-        set_probe_sample_shift(99);
-        assert_eq!(probe_sample_mask(), (1 << 20) - 1, "shift clamps at 20");
-        set_probe_sample_shift(6); // restore the default for other tests
     }
 
     #[test]

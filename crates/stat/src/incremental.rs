@@ -8,8 +8,8 @@
 //! emission is O(f²) regardless of the window length. [`IncrementalMean`]
 //! is the analogous O(f) accumulator for the windowed-mean transformation.
 //!
-//! Both kernels use the pivot-shift + periodic-rebuild anti-drift pattern
-//! of `navarchos_tsframe::RollingStats`: samples are accumulated as
+//! Both kernels use a pivot-shift + periodic-rebuild anti-drift pattern:
+//! samples are accumulated as
 //! `x − pivot` with a recent sample as the pivot (so the catastrophic
 //! cancellation of naive sliding sums at large offsets cannot occur), and
 //! all sums are rebuilt from the buffered rows — with a fresh pivot —
@@ -540,37 +540,6 @@ impl IncrementalPearson {
         }
     }
 
-    /// Per-signal unbiased sample variances of the buffered rows, in
-    /// signal order (`NaN` with fewer than two rows), matching
-    /// `descriptive::sample_var` on the materialised window. Takes `&mut`
-    /// because a near-constant signal triggers a fresh front-pivot pass
-    /// over storage (see `fresh_signal_stats`); the variance formula is
-    /// pivot-invariant, so either source fills the same scratch.
-    pub fn sample_vars(&mut self) -> impl Iterator<Item = f64> + '_ {
-        let n = self.len();
-        let nf = n as f64;
-        if n >= 2 && self.accumulators_trusted(nf) {
-            self.fresh_sum.clear();
-            self.fresh_sum.extend_from_slice(&self.sum);
-            self.fresh_sq.clear();
-            self.fresh_sq.extend_from_slice(&self.sum_sq);
-        } else if n >= 2 {
-            self.fresh_signal_stats();
-        } else {
-            self.fresh_sum.clear();
-            self.fresh_sum.resize(self.n_signals, 0.0);
-            self.fresh_sq.clear();
-            self.fresh_sq.resize(self.n_signals, 0.0);
-        }
-        self.fresh_sum.iter().zip(&self.fresh_sq).map(move |(&s, &q)| {
-            if n < 2 {
-                f64::NAN
-            } else {
-                (q - s * s / nf).max(0.0) / (nf - 1.0)
-            }
-        })
-    }
-
     /// Clears all buffered state.
     pub fn reset(&mut self) {
         self.rows.clear();
@@ -732,25 +701,6 @@ mod tests {
         let mut out = [0.0];
         acc.corr_into(&mut out);
         assert!((out[0] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_vars_match_descriptive() {
-        let rows = stream(60, 3, 4.0);
-        let mut acc = IncrementalPearson::new(3);
-        for (i, row) in rows.iter().enumerate() {
-            if acc.len() == 9 {
-                acc.pop_front();
-            }
-            acc.push(row);
-            if acc.len() >= 2 {
-                let win = window_of(&rows, i + 1, 9);
-                for (c, got) in acc.sample_vars().enumerate() {
-                    let want = crate::descriptive::sample_var(&win[c]);
-                    assert!((got - want).abs() < 1e-9, "signal {c} at {i}");
-                }
-            }
-        }
     }
 
     #[test]

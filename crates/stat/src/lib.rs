@@ -18,10 +18,6 @@
 //!   of the paper (the `autorank` procedure).
 //! * [`martingale`] — conformal p-values and the power-martingale
 //!   exchangeability test (Dai & Bouguelia) behind the Grand detector.
-//! * [`drift`] — sequential change detectors (CUSUM, Page–Hinkley, EWMA
-//!   chart) for the *unrecorded* baseline shifts the paper's discussion
-//!   section blames for most of the task's difficulty. Neither the
-//!   pipeline nor an experiment runs them.
 //! * [`snapshot`] — the framed-binary checkpoint codec and the
 //!   [`Snapshot`]/[`Restore`] traits every stateful kernel implements so
 //!   serving processes can checkpoint and resume byte-identically.
@@ -29,7 +25,6 @@
 pub mod correlation;
 pub mod descriptive;
 pub mod dist;
-pub mod drift;
 pub mod incremental;
 pub mod martingale;
 pub mod ranking;
@@ -39,7 +34,6 @@ pub mod special;
 pub use correlation::{pearson, spearman, CorrelationPairs};
 pub use descriptive::{mean, median, quantile, sample_std, sample_var, RunningStats};
 pub use dist::{chi_squared_sf, normal_cdf, normal_quantile, normal_sf};
-pub use drift::{Cusum, EwmaChart, PageHinkley, ShiftDirection, TwoSidedCusum};
 pub use incremental::{IncrementalMean, IncrementalPearson};
 pub use martingale::{conformal_pvalue, PowerMartingale};
 pub use ranking::{

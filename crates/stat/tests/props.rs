@@ -1,9 +1,8 @@
 //! Property-based tests for the statistical foundation.
 
 use navarchos_stat::correlation::{pearson, CorrelationPairs};
-use navarchos_stat::descriptive::{mean, quantile, sample_std, sample_var, RunningStats};
+use navarchos_stat::descriptive::{mean, quantile, sample_std, RunningStats};
 use navarchos_stat::dist::{chi_squared_cdf, normal_cdf, normal_quantile};
-use navarchos_stat::drift::{Cusum, EwmaChart, PageHinkley};
 use navarchos_stat::martingale::{conformal_pvalue, PowerMartingale};
 use navarchos_stat::ranking::{average_ranks, holm_correction, wilcoxon_signed_rank};
 use navarchos_stat::{
@@ -244,29 +243,6 @@ proptest! {
     }
 
     #[test]
-    fn incremental_sample_vars_match_descriptive(
-        (rows, _width, window) in row_stream(),
-    ) {
-        let width = rows[0].len();
-        let mut acc = IncrementalPearson::new(width);
-        for (i, row) in rows.iter().enumerate() {
-            if acc.len() == window {
-                acc.pop_front();
-            }
-            acc.push(row);
-            if acc.len() < 2 {
-                continue;
-            }
-            let cols = columns_of(&rows, i + 1, window);
-            for (c, got) in acc.sample_vars().enumerate() {
-                let want = sample_var(&cols[c]);
-                let tol = 1e-9 * (1.0 + want.abs());
-                prop_assert!((got - want).abs() <= tol, "signal {c} at {i}: {got} vs {want}");
-            }
-        }
-    }
-
-    #[test]
     fn incremental_mean_matches_batch_on_every_slide(
         (rows, width, window) in row_stream(),
     ) {
@@ -401,65 +377,5 @@ proptest! {
             fresh.read_state(&mut r).and_then(|()| r.finish()).is_err(),
             "a truncated kernel snapshot must be refused"
         );
-    }
-}
-
-proptest! {
-    #[test]
-    fn cusum_statistic_is_non_negative_and_bounded_by_threshold(
-        xs in finite_vec(1..128),
-        slack in 0.0f64..10.0,
-        threshold in 0.1f64..1e5,
-    ) {
-        let mut c = Cusum::new(0.0, slack, threshold);
-        for &x in &xs {
-            c.update(x);
-            prop_assert!(c.statistic() >= 0.0);
-            // After every update (alarm or not) the statistic is at most
-            // the threshold: alarms reset it to zero.
-            prop_assert!(c.statistic() <= threshold);
-        }
-    }
-
-    #[test]
-    fn cusum_alarm_count_monotone_in_threshold(
-        xs in finite_vec(1..128),
-        t1 in 1.0f64..100.0,
-        extra in 1.0f64..100.0,
-    ) {
-        let mut low = Cusum::new(0.0, 0.5, t1);
-        let mut high = Cusum::new(0.0, 0.5, t1 + extra);
-        let alarms_low = xs.iter().filter(|&&x| low.update(x)).count();
-        let alarms_high = xs.iter().filter(|&&x| high.update(x)).count();
-        prop_assert!(alarms_high <= alarms_low, "{alarms_high} > {alarms_low}");
-    }
-
-    #[test]
-    fn page_hinkley_never_alarms_on_constant_streams(
-        level in -1e3f64..1e3,
-        n in 1usize..512,
-    ) {
-        let mut ph = PageHinkley::new(0.01, 5.0);
-        for _ in 0..n {
-            prop_assert!(!ph.update(level), "constant stream alarmed");
-        }
-        prop_assert_eq!(ph.len(), n as u64);
-    }
-
-    #[test]
-    fn ewma_statistic_stays_within_data_hull(
-        xs in prop::collection::vec(-100.0f64..100.0, 1..128),
-        lambda in 0.01f64..1.0,
-    ) {
-        let mut chart = EwmaChart::new(0.0, 1.0, lambda, 3.0);
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min).min(0.0);
-        let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max).max(0.0);
-        for &x in &xs {
-            chart.update(x);
-            // A convex combination of the seed (= mu = 0 here before the
-            // first sample) and the data never escapes their hull.
-            prop_assert!(chart.statistic() >= lo - 1e-9);
-            prop_assert!(chart.statistic() <= hi + 1e-9);
-        }
     }
 }

@@ -119,7 +119,10 @@ impl TransformKind {
     }
 
     /// Builds the transformation with the given input schema and window
-    /// parameters (`window`/`stride` are ignored by raw and delta).
+    /// parameters (`window`/`stride` are ignored by raw and delta). The
+    /// correlation transformation correlates first differences (see
+    /// [`CorrelationTransform::with_differencing`]): that is the one the
+    /// pipeline and the batch runner score.
     pub fn build(
         &self,
         input_names: &[String],
@@ -131,7 +134,7 @@ impl TransformKind {
             TransformKind::Delta => Box::new(DeltaTransform::new(input_names)),
             TransformKind::Mean => Box::new(MeanTransform::new(input_names, window, stride)),
             TransformKind::Correlation => {
-                Box::new(CorrelationTransform::new(input_names, window, stride))
+                Box::new(CorrelationTransform::new(input_names, window, stride).with_differencing())
             }
         }
     }
@@ -140,16 +143,6 @@ impl TransformKind {
     pub fn all() -> [TransformKind; 4] {
         [TransformKind::Raw, TransformKind::Delta, TransformKind::Mean, TransformKind::Correlation]
     }
-}
-
-/// Per-signal dynamics floors for the six Navarchos PID signals (same
-/// order as the canonical schema): within-window standard deviations below
-/// these are sensor noise / regulation residue, not vehicle dynamics.
-pub fn navarchos_corr_floors() -> Vec<f64> {
-    // Scales for *differenced* signals: roughly 2× the per-minute sensor
-    // noise of each PID, so windows whose changes are noise-dominated
-    // shrink toward 0.
-    vec![25.0, 1.2, 1.0, 1.0, 2.5, 1.8]
 }
 
 /// Identity transformation: every record is emitted unchanged.
@@ -467,14 +460,6 @@ pub struct CorrelationTransform {
     pairs: CorrelationPairs,
     cadence: WindowCadence,
     kernel: IncrementalPearson,
-    /// Per-signal dynamics scales. A quasi-constant signal (cruising at
-    /// fixed speed, coolant pinned at the thermostat point) makes its
-    /// pairwise correlations noise-dominated, so each pair's correlation
-    /// is shrunk by smooth per-signal weights `std² / (std² + scale²)`:
-    /// fully-dynamic windows keep their correlation, quasi-static ones
-    /// fade continuously toward 0 (avoiding a bimodal feature that a hard
-    /// gate would create).
-    min_std: Option<Vec<f64>>,
     /// Correlate first differences of the signals instead of their levels.
     /// Windowed level series are non-stationary (regime trends dominate),
     /// which makes level correlations composition-dependent — the classic
@@ -493,7 +478,6 @@ pub struct CorrelationTransform {
     /// always false.
     diff_flags: VecDeque<bool>,
     diff_scratch: Vec<f64>,
-    weights: Vec<f64>,
 }
 
 impl CorrelationTransform {
@@ -508,26 +492,17 @@ impl CorrelationTransform {
             pairs: CorrelationPairs::new(input_names),
             cadence: WindowCadence::new(window, stride),
             kernel: IncrementalPearson::new(input_names.len()),
-            min_std: None,
             difference: false,
             prev_t: None,
             prev_row: Vec::with_capacity(input_names.len()),
             diff_flags: VecDeque::with_capacity(window + 1),
             diff_scratch: Vec::with_capacity(input_names.len()),
-            weights: Vec::with_capacity(input_names.len()),
         }
     }
 
     /// Enables first-difference correlation (see the `difference` field).
     pub fn with_differencing(mut self) -> Self {
         self.difference = true;
-        self
-    }
-
-    /// Sets the per-signal dynamics floors (one per input signal).
-    pub fn with_min_std(mut self, floors: Vec<f64>) -> Self {
-        assert_eq!(floors.len(), self.pairs.n_signals(), "one floor per signal");
-        self.min_std = Some(floors);
         self
     }
 
@@ -601,20 +576,6 @@ impl Transform for CorrelationTransform {
             return None;
         }
         self.kernel.corr_into(out);
-        if let Some(scales) = &self.min_std {
-            self.weights.clear();
-            self.weights.extend(self.kernel.sample_vars().zip(scales).map(|(var, &scale)| {
-                if var.is_finite() {
-                    var / (var + scale * scale)
-                } else {
-                    0.0
-                }
-            }));
-            for (k, v) in out.iter_mut().enumerate() {
-                let (i, j) = self.pairs.pair_indices(k);
-                *v *= self.weights[i] * self.weights[j];
-            }
-        }
         Some(timestamp)
     }
 
@@ -777,12 +738,8 @@ mod tests {
     #[test]
     fn push_into_matches_push() {
         let n = names(&["a", "b", "c"]);
-        let mut by_push = CorrelationTransform::new(&n, 6, 2)
-            .with_differencing()
-            .with_min_std(vec![1.0, 2.0, 0.5]);
-        let mut by_into = CorrelationTransform::new(&n, 6, 2)
-            .with_differencing()
-            .with_min_std(vec![1.0, 2.0, 0.5]);
+        let mut by_push = CorrelationTransform::new(&n, 6, 2).with_differencing();
+        let mut by_into = CorrelationTransform::new(&n, 6, 2).with_differencing();
         let mut out = vec![0.0; by_into.output_dim()];
         for i in 0..200i64 {
             // A parked gap every 37 records exercises the reset path; a

@@ -25,7 +25,6 @@ fn streaming_pipeline_matches_batch_runner() {
         holdout: 60,
         reset_policy: ResetPolicy::OnServiceOrRepair,
         filter: FilterSpec::navarchos_default(),
-        corr_floors: None,
         daily_median: false,
         holdout_days: 10,
     };
@@ -51,7 +50,6 @@ fn streaming_pipeline_matches_batch_runner() {
         constant_threshold: 0.5,
         reset_policy: ResetPolicy::OnServiceOrRepair,
         filter: FilterSpec::navarchos_default(),
-        corr_floors: None,
     };
     let mut pipeline = StreamingPipeline::new(vd.frame.names(), cfg);
     let mut events = maintenance.iter().peekable();
