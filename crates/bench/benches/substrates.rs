@@ -44,6 +44,62 @@ fn bench_neighbors(c: &mut Criterion) {
         b.iter(|| LofModel::fit(&points, 6, 10, Metric::Euclidean).reference_scores()[0])
     });
     group.finish();
+
+    // Grand(LOF)'s scoring queries on the paper fleet's six signals: k = 10
+    // against the windowed cells' 80-point profiles (mean: 6 features,
+    // correlation: 15 pairs) and the raw and delta cells' 1,200-point ones;
+    // 256 distinct queries per iteration.
+    let mut group = c.benchmark_group("knn_nearest_256_queries");
+    group.throughput(Throughput::Elements(256));
+    for (n, dim) in [(80usize, 6usize), (80, 15), (1200, 6)] {
+        let points: Vec<Vec<f64>> =
+            (0..n).map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
+        let queries: Vec<Vec<f64>> =
+            (0..256).map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
+        let idx = KnnIndex::new(&points, dim, Metric::Euclidean);
+        group.bench_function(format!("k10_n{n}_d{dim}"), |b| {
+            b.iter(|| queries.iter().map(|q| idx.nearest(q, 10, None).len()).sum::<usize>())
+        });
+    }
+    group.finish();
+}
+
+/// The runner's daily aggregation where it costs most, Closest-pair on raw
+/// or delta data: the 0.85-quantile of each of the six channels' scores
+/// over one day of per-minute samples, by selection as `run_vehicle` takes
+/// it and by a full sort for reference.
+fn bench_daily_quantile(c: &mut Criterion) {
+    use navarchos_stat::descriptive::{quantile_in_place, quantile_sorted};
+
+    const CHANNELS: usize = 6;
+    let mut rng = StdRng::seed_from_u64(7);
+    let day: Vec<f64> = (0..1440 * CHANNELS).map(|_| rng.gen_range(0.0..5.0)).collect();
+    let mut group = c.benchmark_group("daily_quantile_1440x6");
+    let mut column = Vec::with_capacity(1440);
+    group.bench_function("select", |b| {
+        b.iter(|| {
+            (0..CHANNELS)
+                .map(|ch| {
+                    column.clear();
+                    column.extend(day.iter().skip(ch).step_by(CHANNELS).copied());
+                    quantile_in_place(&mut column, 0.85)
+                })
+                .sum::<f64>()
+        })
+    });
+    group.bench_function("sort", |b| {
+        b.iter(|| {
+            (0..CHANNELS)
+                .map(|ch| {
+                    column.clear();
+                    column.extend(day.iter().skip(ch).step_by(CHANNELS).copied());
+                    column.sort_by(f64::total_cmp);
+                    quantile_sorted(&column, 0.85)
+                })
+                .sum::<f64>()
+        })
+    });
+    group.finish();
 }
 
 fn bench_cluster(c: &mut Criterion) {
@@ -283,6 +339,7 @@ fn bench_fleetsim(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_neighbors,
+    bench_daily_quantile,
     bench_cluster,
     bench_stat,
     bench_par,

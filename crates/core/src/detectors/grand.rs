@@ -33,7 +33,7 @@ impl GrandNcm {
 
 #[derive(Debug)]
 enum FittedNcm {
-    Median { index: KnnIndex, median: Vec<f64> },
+    Median { median: Vec<f64> },
     Knn { index: KnnIndex, k: usize },
     Lof { model: LofModel },
 }
@@ -41,10 +41,7 @@ enum FittedNcm {
 impl FittedNcm {
     fn score(&self, x: &[f64]) -> f64 {
         match self {
-            FittedNcm::Median { index, median } => {
-                let _ = index;
-                navarchos_neighbors::euclidean(x, median)
-            }
+            FittedNcm::Median { median } => navarchos_neighbors::euclidean(x, median),
             FittedNcm::Knn { index, k } => index.knn_score(x, *k, None),
             FittedNcm::Lof { model } => model.score(x),
         }
@@ -100,20 +97,20 @@ impl Detector for GrandDetector {
         let n = reference.len();
         assert!(n > self.k, "reference smaller than the neighbourhood size");
         let rows = reference.rows();
-        let index = KnnIndex::new(&rows, self.dim, Metric::Euclidean);
 
         // Calibration scores are leave-one-out so reference members do not
         // score themselves as their own neighbours.
         let mut calibration = Vec::with_capacity(n);
         let fitted = match self.ncm_kind {
             GrandNcm::Median => {
-                let median = index.median_point();
-                for i in 0..n {
-                    calibration.push(navarchos_neighbors::euclidean(index.point(i), &median));
+                let median = KnnIndex::new(&rows, self.dim, Metric::Euclidean).median_point();
+                for row in &rows {
+                    calibration.push(navarchos_neighbors::euclidean(row, &median));
                 }
-                FittedNcm::Median { index, median }
+                FittedNcm::Median { median }
             }
             GrandNcm::Knn => {
+                let index = KnnIndex::new(&rows, self.dim, Metric::Euclidean);
                 for i in 0..n {
                     calibration.push(index.knn_score(index.point(i), self.k, Some(i)));
                 }

@@ -232,7 +232,8 @@ pub fn evaluate(alarms: &[Vec<i64>], repairs: &[Vec<i64>], params: EvalParams) -
 /// Sweeps a threshold parameter over pre-computed score traces and returns
 /// `(best_parameter, best_counts)` by F0.5 — the paper's "multiple
 /// factors" protocol. `scores[v]` and `repairs[v]` are index-aligned per
-/// vehicle.
+/// vehicle. Candidates are evaluated in parallel and compared in grid
+/// order, so a tie goes to the earlier candidate.
 pub fn sweep_best(
     scores: &[&VehicleScores],
     repairs: &[Vec<i64>],
@@ -241,15 +242,18 @@ pub fn sweep_best(
 ) -> (f64, EvalCounts) {
     assert_eq!(scores.len(), repairs.len());
     assert!(!candidates.is_empty());
-    let mut best_param = candidates[0];
-    let mut best_counts = EvalCounts::default();
-    let mut best_f = -1.0;
-    for &cand in candidates {
+    let per_candidate = crate::par::par_map(candidates, |_, &cand| {
         let mut counts = EvalCounts::default();
         for (vs, reps) in scores.iter().zip(repairs) {
             let instances = vs.alarm_instances(cand, &params);
             counts.merge(&evaluate_vehicle_instances(&instances, reps, params));
         }
+        counts
+    });
+    let mut best_param = candidates[0];
+    let mut best_counts = EvalCounts::default();
+    let mut best_f = -1.0;
+    for (&cand, counts) in candidates.iter().zip(per_candidate) {
         let f = counts.f05();
         if f > best_f {
             best_f = f;

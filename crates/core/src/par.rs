@@ -4,22 +4,12 @@
 //! experiment grid, the ablations — is
 //! embarrassingly parallel: vehicles never share mutable state. Before
 //! this module each call site hand-rolled its own `std::thread::scope`
-//! round-robin loop; [`par_map`] centralises that pattern (std-only, no
-//! thread-pool dependency) so the partitioning, ordering and panic
-//! propagation are written once.
+//! loop; [`par_map`] centralises the fan-out (std-only, no thread-pool
+//! dependency) so the scheduling, ordering and panic propagation are
+//! written once.
 
-/// Maps `f` over `items` in parallel and returns the results in input
-/// order.
-///
-/// Work is partitioned round-robin over `min(available_parallelism,
-/// items.len())` scoped threads — per-vehicle workloads vary smoothly
-/// along the fleet (history length decides cost), so round-robin balances
-/// within a few percent without a work-stealing queue. `f` receives
-/// `(index, &item)`; a panic in any worker is resumed on the caller's
-/// thread after the scope joins.
-///
-/// On a single-core host the scope degenerates to one worker thread, so
-/// the overhead over a serial loop is one spawn/join per call.
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 /// Sampling mask for per-item task timing: coarse fan-outs (fleets of
 /// vehicles) time every item so the `par_map.task_ns` histogram keeps its
 /// one-entry-per-task semantics; fine-grained fan-outs over many cheap
@@ -32,6 +22,21 @@ fn task_sample_mask(n: usize) -> usize {
     }
 }
 
+/// Maps `f` over `items` in parallel and returns the results in input
+/// order.
+///
+/// `min(available_parallelism, items.len())` scoped threads claim items
+/// one at a time from a shared atomic cursor, so a thread that drew cheap
+/// items goes on to take more. Per-vehicle costs are uneven (history
+/// length and reset count decide them), and a fixed round-robin split
+/// does not balance them: on the paper fleet on a 2-vCPU host, Grand on
+/// correlation split into halves of 0.22 s and 0.34 s, and the six
+/// perfbench cells took 11 % longer than their CPU time over two. `f`
+/// receives `(index, &item)`; a panic in any worker is resumed on the
+/// caller's thread after the scope joins.
+///
+/// On a single-core host the scope degenerates to one worker thread, so
+/// the overhead over a serial loop is one spawn/join per call.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -58,19 +63,28 @@ where
     let task_ns =
         navarchos_obs::metrics_enabled().then(|| navarchos_obs::histogram("par_map.task_ns"));
     let item_mask = task_sample_mask(n);
+    let cursor = AtomicUsize::new(0);
 
     let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
         let f = &f;
         let task_ns = &task_ns;
+        let cursor = &cursor;
         let handles: Vec<_> = (0..threads)
-            .map(|t| {
+            .map(|_| {
                 scope.spawn(move || {
                     let _worker = navarchos_obs::span_child_of("par_map.worker", parent_id);
                     let mut recorder = task_ns
                         .as_ref()
                         .map(|h| navarchos_obs::BatchedRecorder::new(std::sync::Arc::clone(h)));
                     let mut out = Vec::new();
-                    for (i, item) in items.iter().enumerate().skip(t).step_by(threads) {
+                    loop {
+                        // AcqRel: only the RMW's atomicity matters (each index is
+                        // claimed once); results reach the caller through the
+                        // scope's join, which synchronises on its own.
+                        let i = cursor.fetch_add(1, Ordering::AcqRel);
+                        let Some(item) = items.get(i) else {
+                            break;
+                        };
                         match &mut recorder {
                             Some(rec) if i & item_mask == 0 => {
                                 let t0 = std::time::Instant::now();

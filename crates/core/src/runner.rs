@@ -431,16 +431,16 @@ pub fn run_vehicle(
         constant_threshold,
     };
     if params.daily_median {
-        to_daily_median(vs, params.holdout_days)
+        to_daily_quantile(vs, params.holdout_days)
     } else {
         vs
     }
 }
 
-/// Compresses per-sample score traces into per-day channel medians,
-/// rebuilding the segment structure so that each segment's holdout covers
-/// its first `holdout_days` aggregated days.
-fn to_daily_median(vs: VehicleScores, holdout_days: usize) -> VehicleScores {
+/// Compresses per-sample score traces into per-day channel 0.85-quantiles
+/// of the finite scores, rebuilding the segment structure so that each
+/// segment's holdout covers its first `holdout_days` aggregated days.
+fn to_daily_quantile(vs: VehicleScores, holdout_days: usize) -> VehicleScores {
     const DAY: i64 = 86_400;
     let mut timestamps = Vec::new();
     let mut scores = Vec::new();
@@ -461,8 +461,7 @@ fn to_daily_median(vs: VehicleScores, holdout_days: usize) -> VehicleScores {
             for c in 0..vs.n_channels {
                 column.clear();
                 column.extend((i..j).map(|k| vs.score(k, c)).filter(|v| v.is_finite()));
-                column.sort_by(|a, b| a.total_cmp(b));
-                scores.push(navarchos_stat::descriptive::quantile_sorted(&column, 0.85));
+                scores.push(navarchos_stat::descriptive::quantile_in_place(&mut column, 0.85));
             }
             i = j;
         }

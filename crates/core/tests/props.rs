@@ -1,9 +1,11 @@
 //! Property-based tests for the framework layer.
 
 use navarchos_core::evaluation::{
-    alarm_instances, dedup_alarms, evaluate_vehicle, EvalCounts, EvalParams,
+    alarm_instances, constant_grid, dedup_alarms, evaluate_vehicle, evaluate_vehicle_instances,
+    factor_grid, sweep_best, EvalCounts, EvalParams,
 };
 use navarchos_core::reference::ReferenceProfile;
+use navarchos_core::runner::{Segment, SegmentContext, VehicleScores};
 use navarchos_core::threshold::{batch_thresholds, SelfTuningThreshold};
 use proptest::prelude::*;
 
@@ -206,6 +208,117 @@ proptest! {
         let serial: Vec<(usize, f64)> =
             items.iter().enumerate().map(|(i, v)| (i, v.iter().sum::<f64>())).collect();
         prop_assert_eq!(par, serial);
+    }
+}
+
+/// Spins for `cost` rounds: a task whose run time the test controls.
+fn spin(i: usize, cost: u64) -> (usize, u64) {
+    let mut x = i as u64;
+    for _ in 0..cost * 64 {
+        x = std::hint::black_box(x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1));
+    }
+    (i, x)
+}
+
+proptest! {
+    #[test]
+    fn par_map_keeps_order_and_propagates_panics_under_skewed_costs(
+        costs in prop::collection::vec(
+            (0u8..12).prop_map(|c| if c == 0 { 4_000u64 } else { u64::from(c) }),
+            1..40,
+        ),
+        panic_at in 0usize..80,
+    ) {
+        // A few items cost ~1000x the rest, so workers claiming from the
+        // shared cursor finish items far out of input order.
+        let par = navarchos_core::par_map(&costs, |i, &c| spin(i, c));
+        let serial: Vec<(usize, u64)> = costs.iter().enumerate().map(|(i, &c)| spin(i, c)).collect();
+        prop_assert_eq!(par, serial);
+        // A panic in any one item crosses the scope, wherever it falls.
+        if panic_at < costs.len() {
+            let result = std::panic::catch_unwind(|| {
+                navarchos_core::par_map(&costs, |i, &c| {
+                    assert!(i != panic_at, "boom");
+                    spin(i, c)
+                })
+            });
+            prop_assert!(result.is_err(), "the panic at item {} was lost", panic_at);
+        }
+    }
+}
+
+/// One vehicle's daily score trace with a single detection segment, and
+/// its repair days: what `sweep_best` folds over.
+fn vehicle_trace() -> impl Strategy<Value = (VehicleScores, Vec<i64>)> {
+    (1usize..4, 12usize..60, 0u8..2).prop_flat_map(|(n_channels, days, floors)| {
+        (
+            prop::collection::vec(0.0f64..4.0, n_channels * days),
+            prop::collection::vec(0i64..days as i64 + 30, 0..3),
+        )
+            .prop_map(move |(scores, repair_days)| {
+                let vs = VehicleScores {
+                    timestamps: (0..days as i64).map(|d| d * 86_400).collect(),
+                    scores,
+                    n_channels,
+                    channel_names: (0..n_channels).map(|c| format!("c{c}")).collect(),
+                    segments: vec![Segment { start: 0, detect_from: 8, end: days }],
+                    contexts: vec![SegmentContext {
+                        std_floors: if floors == 1 { vec![0.05; n_channels] } else { Vec::new() },
+                    }],
+                    constant_threshold: false,
+                };
+                let mut repairs: Vec<i64> = repair_days.iter().map(|d| d * 86_400).collect();
+                repairs.sort_unstable();
+                (vs, repairs)
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn sweep_best_equals_a_serial_fold(
+        fleet in prop::collection::vec(vehicle_trace(), 1..12),
+        constant in 0u8..2,
+        ph_days in 15i64..31,
+    ) {
+        // The fanned-out sweep must pick what a serial fold over the grid
+        // picks: the first candidate with the strictly highest F0.5.
+        let constant = constant == 1;
+        let traces: Vec<VehicleScores> = fleet
+            .iter()
+            .map(|(vs, _)| {
+                let mut vs = vs.clone();
+                if constant {
+                    // Grand's deviation levels live in [0, 1].
+                    vs.scores.iter_mut().for_each(|s| *s /= 4.0);
+                    vs.constant_threshold = true;
+                }
+                vs
+            })
+            .collect();
+        let refs: Vec<&VehicleScores> = traces.iter().collect();
+        let repairs: Vec<Vec<i64>> = fleet.iter().map(|(_, r)| r.clone()).collect();
+        let grid = if constant { constant_grid() } else { factor_grid() };
+        let params = EvalParams::days(ph_days);
+
+        let mut want = (grid[0], EvalCounts::default());
+        let mut best_f = -1.0;
+        for &cand in &grid {
+            let mut counts = EvalCounts::default();
+            for (vs, reps) in refs.iter().zip(&repairs) {
+                let instances = vs.alarm_instances(cand, &params);
+                counts.merge(&evaluate_vehicle_instances(&instances, reps, params));
+            }
+            if counts.f05() > best_f {
+                best_f = counts.f05();
+                want = (cand, counts);
+            }
+        }
+        let got = sweep_best(&refs, &repairs, &grid, params);
+        prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
+        prop_assert_eq!(got.1, want.1);
     }
 }
 

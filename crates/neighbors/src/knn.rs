@@ -1,11 +1,16 @@
 //! Brute-force k-nearest-neighbour index over a fixed reference set.
 //!
-//! Reference profiles in this workload are small (hundreds to a few
-//! thousand vectors of ≤ 15 features), where a cache-friendly linear scan
-//! beats tree structures; the index keeps the points in one contiguous
-//! buffer and uses a bounded max-heap for the k best candidates.
+//! Reference profiles in this workload are small (tens to a few thousand
+//! vectors of ≤ 15 features), where a cache-friendly linear scan beats
+//! tree structures. Euclidean queries run a blocked kernel over a
+//! column-major copy of the points; other metrics scan the row-major
+//! buffer one point at a time.
 
 use crate::distance::Metric;
+
+/// Rows per block of the Euclidean kernel: the distances of a block's rows
+/// are summed in independent accumulators, one lane per row.
+const BLOCK: usize = 8;
 
 /// A k-NN index over a fixed set of equally-long feature vectors.
 #[derive(Debug, Clone)]
@@ -13,6 +18,10 @@ pub struct KnnIndex {
     dim: usize,
     /// Row-major point buffer, `len = n * dim`.
     data: Vec<f64>,
+    /// Euclidean only: the points column-major in blocks of [`BLOCK`] rows.
+    /// Entry `b * dim + j` holds coordinate `j` of rows `b * BLOCK ..`; the
+    /// last block is padded with zeros, which no query reads.
+    blocks: Vec<[f64; BLOCK]>,
     metric: Metric,
 }
 
@@ -28,13 +37,21 @@ impl KnnIndex {
             assert_eq!(p.len(), dim, "point dimension mismatch");
             data.extend_from_slice(p);
         }
-        KnnIndex { dim, data, metric }
-    }
-
-    /// Builds an index directly from a row-major buffer.
-    pub fn from_flat(data: Vec<f64>, dim: usize, metric: Metric) -> Self {
-        assert!(dim > 0 && data.len() % dim == 0, "buffer is not a multiple of dim");
-        KnnIndex { dim, data, metric }
+        let mut blocks = Vec::new();
+        if metric == Metric::Euclidean {
+            for rows in data.chunks(BLOCK * dim) {
+                let first = blocks.len();
+                blocks.resize(first + dim, [0.0; BLOCK]);
+                for (r, row) in rows.chunks_exact(dim).enumerate() {
+                    for (lanes, &v) in blocks.iter_mut().skip(first).zip(row) {
+                        if let Some(slot) = lanes.get_mut(r) {
+                            *slot = v;
+                        }
+                    }
+                }
+            }
+        }
+        KnnIndex { dim, data, blocks, metric }
     }
 
     /// Number of reference points.
@@ -58,9 +75,11 @@ impl KnnIndex {
     }
 
     /// The `k` nearest reference points to `query`, as `(index, distance)`
-    /// sorted by increasing distance. Returns fewer than `k` pairs when the
-    /// index holds fewer points. `exclude` (if given) skips one reference
-    /// index — used for leave-one-out queries on the reference itself.
+    /// sorted by increasing distance, ties by index: the first `k` of a
+    /// stable sort of all points by distance. Returns fewer than `k` pairs
+    /// when the index holds fewer points. `exclude` (if given) skips one
+    /// reference index — used for leave-one-out queries on the reference
+    /// itself.
     pub fn nearest(&self, query: &[f64], k: usize, exclude: Option<usize>) -> Vec<(usize, f64)> {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         debug_assert!(
@@ -70,14 +89,81 @@ impl KnnIndex {
         if k == 0 {
             return Vec::new();
         }
-        // Bounded "max-heap" as a sorted insertion buffer: k is small (≤ 20
-        // in every caller), so linear insertion beats a BinaryHeap here.
-        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k + 1);
-        for i in 0..self.len() {
+        if self.metric == Metric::Euclidean {
+            if let Some(best) = self.nearest_blocked(query, k, exclude) {
+                return best;
+            }
+        }
+        self.nearest_scan(query, k, exclude)
+    }
+
+    /// The Euclidean kernel. Each row's squared distance is summed over the
+    /// dimensions in order, exactly as [`crate::squared_euclidean`] sums it,
+    /// so every distance is bit-identical to the scan's. `None` when a
+    /// distance is NaN: the scan defines where a NaN ranks.
+    fn nearest_blocked(
+        &self,
+        query: &[f64],
+        k: usize,
+        exclude: Option<usize>,
+    ) -> Option<Vec<(usize, f64)>> {
+        let n = self.len();
+        // Sorted by distance, ties by index; never holds a NaN.
+        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k.min(n));
+        for (first, block) in (0..n).step_by(BLOCK).zip(self.blocks.chunks_exact(self.dim)) {
+            let mut dist = [0.0f64; BLOCK];
+            for (lanes, &q) in block.iter().zip(query) {
+                for (acc, &p) in dist.iter_mut().zip(lanes) {
+                    let diff = q - p;
+                    *acc += diff * diff;
+                }
+            }
+            for d in &mut dist {
+                *d = d.sqrt();
+            }
+            // Any NaN lane sends the query to the scan, which is exact either
+            // way; a padding lane is NaN only when every row is.
+            if dist.iter().any(|d| d.is_nan()) {
+                return None;
+            }
+            // `zip` stops at `n`, so the last block's padding is never read.
+            for (i, &d) in (first..n).zip(&dist) {
+                let full = best.len() == k;
+                if exclude == Some(i) || full && best.last().is_some_and(|&(_, worst)| d >= worst) {
+                    continue;
+                }
+                // Every entry farther than `d` moves one slot down and the
+                // pair takes the first freed slot, so it lands after every
+                // entry at most `d` away (the scan's stable order); a full
+                // list carries its old worst out of the end. Either way the
+                // slot keeps the nearer distance and the carry the farther
+                // (the list is sorted, NaN-free and never holds −0.0), so
+                // `min`/`max` move the distances without a branch.
+                let mut carry = (i, d);
+                for slot in &mut best {
+                    let (kept, passed) =
+                        if d < slot.1 { (carry.0, slot.0) } else { (slot.0, carry.0) };
+                    let (near, far) = (carry.1.min(slot.1), carry.1.max(slot.1));
+                    *slot = (kept, near);
+                    carry = (passed, far);
+                }
+                if !full {
+                    best.push(carry);
+                }
+            }
+        }
+        Some(best)
+    }
+
+    /// The reference scan: one metric evaluation per point, kept in a
+    /// sorted insertion buffer (k is small, ≤ 20 in every caller).
+    fn nearest_scan(&self, query: &[f64], k: usize, exclude: Option<usize>) -> Vec<(usize, f64)> {
+        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k.min(self.len()) + 1);
+        for (i, point) in self.data.chunks_exact(self.dim).enumerate() {
             if exclude == Some(i) {
                 continue;
             }
-            let d = self.metric.eval(query, self.point(i));
+            let d = self.metric.eval(query, point);
             if best.len() < k || best.last().is_some_and(|&(_, worst)| d < worst) {
                 let pos = best.partition_point(|&(_, bd)| bd <= d);
                 best.insert(pos, (i, d));
@@ -99,32 +185,17 @@ impl KnnIndex {
         nn.iter().map(|&(_, d)| d).sum::<f64>() / nn.len() as f64
     }
 
-    /// Distance to the single nearest neighbour.
-    pub fn nearest_distance(&self, query: &[f64], exclude: Option<usize>) -> f64 {
-        self.nearest(query, 1, exclude).first().map(|&(_, d)| d).unwrap_or(f64::NAN)
-    }
-
     /// Component-wise median of the reference set — the "most central
     /// pattern" used by Grand's `Median` non-conformity measure.
     pub fn median_point(&self) -> Vec<f64> {
-        let n = self.len();
-        let mut out = Vec::with_capacity(self.dim);
-        let mut column = Vec::with_capacity(n);
-        for j in 0..self.dim {
-            column.clear();
-            column.extend(self.data.iter().skip(j).step_by(self.dim).copied());
-            column.sort_by(|a, b| a.total_cmp(b));
-            out.push(navarchos_stat::descriptive::quantile_sorted(&column, 0.5));
-        }
-        out
-    }
-
-    /// Distance from `query` to the component-wise median of the reference.
-    pub fn median_score(&self, query: &[f64]) -> f64 {
-        if self.is_empty() {
-            return f64::NAN;
-        }
-        self.metric.eval(query, &self.median_point())
+        let mut column = Vec::with_capacity(self.len());
+        (0..self.dim)
+            .map(|j| {
+                column.clear();
+                column.extend(self.data.iter().skip(j).step_by(self.dim).copied());
+                navarchos_stat::descriptive::quantile_in_place(&mut column, 0.5)
+            })
+            .collect()
     }
 }
 
@@ -173,7 +244,7 @@ mod tests {
     #[test]
     fn nearest_distance_zero_on_member() {
         let idx = grid_index();
-        assert_eq!(idx.nearest_distance(&[7.0], None), 0.0);
+        assert_eq!(idx.nearest(&[7.0], 1, None), vec![(7, 0.0)]);
     }
 
     #[test]
@@ -181,25 +252,34 @@ mod tests {
         let pts = vec![vec![1.0, 10.0], vec![2.0, 30.0], vec![3.0, 20.0]];
         let idx = KnnIndex::new(&pts, 2, Metric::Euclidean);
         assert_eq!(idx.median_point(), vec![2.0, 20.0]);
-        assert!((idx.median_score(&[2.0, 24.0]) - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_index_scores_nan() {
         let idx = KnnIndex::new(&[], 2, Metric::Euclidean);
-        assert!(idx.nearest_distance(&[0.0, 0.0], None).is_nan());
+        assert!(idx.nearest(&[0.0, 0.0], 1, None).is_empty());
         assert!(idx.knn_score(&[0.0, 0.0], 3, None).is_nan());
-        assert!(idx.median_score(&[0.0, 0.0]).is_nan());
+        assert!(idx.median_point().iter().all(|m| m.is_nan()));
         assert!(idx.is_empty());
     }
 
     #[test]
-    fn from_flat_roundtrip() {
-        let idx = KnnIndex::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2, Metric::Manhattan);
+    fn ties_keep_index_order_across_blocks() {
+        // 20 points at distance 1 on either side of the query, spanning
+        // three blocks: the k best are the lowest indices.
+        let pts: Vec<Vec<f64>> =
+            (0..20).map(|i| vec![if i % 2 == 0 { -1.0 } else { 1.0 }]).collect();
+        let idx = KnnIndex::new(&pts, 1, Metric::Euclidean);
+        let nn = idx.nearest(&[0.0], 5, Some(2));
+        assert_eq!(nn, vec![(0, 1.0), (1, 1.0), (3, 1.0), (4, 1.0), (5, 1.0)]);
+    }
+
+    #[test]
+    fn manhattan_metric_keeps_the_scan() {
+        let idx = KnnIndex::new(&[vec![1.0, 2.0], vec![3.0, 4.0]], 2, Metric::Manhattan);
         assert_eq!(idx.len(), 2);
         assert_eq!(idx.point(1), &[3.0, 4.0]);
-        let nn = idx.nearest(&[3.0, 4.0], 1, None);
-        assert_eq!(nn[0], (1, 0.0));
+        assert_eq!(idx.nearest(&[3.0, 3.0], 2, None), vec![(1, 1.0), (0, 3.0)]);
     }
 
     #[test]

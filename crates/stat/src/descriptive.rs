@@ -42,12 +42,16 @@ pub fn median(xs: &[f64]) -> f64 {
 /// Linear-interpolation quantile (the "linear" method of NumPy), `q` in
 /// [0, 1]. Returns `NaN` for an empty slice.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    quantile_sorted(&v, q)
+    quantile_in_place(&mut xs.to_vec(), q)
+}
+
+/// The floor and ceiling ranks of quantile `q` over `n > 0` sorted values
+/// and the interpolation weight of the ceiling one.
+fn quantile_rank(n: usize, q: f64) -> (usize, usize, f64) {
+    let q = q.clamp(0.0, 1.0);
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos.ceil() as usize, pos - lo as f64)
 }
 
 /// Quantile of an already-sorted slice; avoids the copy in [`quantile`].
@@ -55,16 +59,32 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    let (lo, hi, frac) = quantile_rank(sorted.len(), q);
     if lo == hi {
         sorted[lo]
     } else {
-        let frac = pos - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
+}
+
+/// Quantile of an unsorted slice by selection, reordering `values` in
+/// place: O(n) instead of a sort. Bit for bit equal to [`quantile_sorted`]
+/// of `values` sorted by `f64::total_cmp` (NaNs included), because both
+/// read the same two order statistics and interpolate them with the same
+/// expression. Returns `NaN` for an empty slice.
+pub fn quantile_in_place(values: &mut [f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return f64::NAN;
+    }
+    let (lo, hi, frac) = quantile_rank(values.len(), q);
+    let (_, &mut low, above) = values.select_nth_unstable_by(lo, f64::total_cmp);
+    if lo == hi {
+        return low;
+    }
+    // `hi == lo + 1`, so the ceiling order statistic is the least value
+    // selected above the floor one (`above` is never empty here).
+    let high = above.iter().copied().min_by(f64::total_cmp).unwrap_or(low);
+    low * (1.0 - frac) + high * frac
 }
 
 /// Minimum of a slice ignoring NaNs. Returns `NaN` if no finite value exists.

@@ -1,7 +1,9 @@
 //! Property-based tests for the statistical foundation.
 
 use navarchos_stat::correlation::{pearson, CorrelationPairs};
-use navarchos_stat::descriptive::{mean, quantile, sample_std, RunningStats};
+use navarchos_stat::descriptive::{
+    mean, quantile, quantile_in_place, quantile_sorted, sample_std, RunningStats,
+};
 use navarchos_stat::dist::{chi_squared_cdf, normal_cdf, normal_quantile};
 use navarchos_stat::martingale::{conformal_pvalue, PowerMartingale};
 use navarchos_stat::ranking::{average_ranks, holm_correction, wilcoxon_signed_rank};
@@ -12,6 +14,22 @@ use proptest::prelude::*;
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, len)
+}
+
+/// Mostly a handful of values (so duplicates and `±0.0` pairs are common),
+/// with `±inf` and NaN among them, else a finite draw.
+fn edge_or_finite() -> impl Strategy<Value = f64> {
+    (0u8..12, -1e3f64..1e3).prop_map(|(pick, x)| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 1.0,
+        3 => -1.0,
+        4 => 2.5,
+        5 => f64::INFINITY,
+        6 => f64::NEG_INFINITY,
+        7 => f64::NAN,
+        _ => x,
+    })
 }
 
 proptest! {
@@ -377,5 +395,29 @@ proptest! {
             fresh.read_state(&mut r).and_then(|()| r.finish()).is_err(),
             "a truncated kernel snapshot must be refused"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn quantile_in_place_equals_sort_then_quantile_sorted(
+        xs in prop::collection::vec(edge_or_finite(), 1..24),
+        q in (0u8..4, 0.0f64..=1.0).prop_map(|(pick, q)| match pick {
+            0 => 0.0,
+            1 => 0.85,
+            2 => 1.0,
+            _ => q,
+        }),
+    ) {
+        // The selection helper reads the same order statistics as a full
+        // `total_cmp` sort, so the result must match bit for bit.
+        let mut sorted = xs.clone();
+        sorted.sort_by(f64::total_cmp);
+        let want = quantile_sorted(&sorted, q);
+        let got = quantile_in_place(&mut xs.clone(), q);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "q {} over {:?}", q, xs);
+        prop_assert_eq!(quantile(&xs, q).to_bits(), want.to_bits());
     }
 }

@@ -43,6 +43,18 @@ const KERNELS: &[(&str, &str, &str, &str)] = &[
         "crates/bench/benches/substrates.rs",
     ),
     (
+        "KnnIndex",
+        "crates/neighbors/src/knn.rs",
+        "crates/neighbors/tests/props.rs",
+        "crates/bench/benches/substrates.rs",
+    ),
+    (
+        "quantile_in_place",
+        "crates/stat/src/descriptive.rs",
+        "crates/stat/tests/props.rs",
+        "crates/bench/benches/substrates.rs",
+    ),
+    (
         "Histogram",
         "crates/obs/src/metrics.rs",
         "crates/obs/tests/props.rs",
