@@ -260,10 +260,17 @@ fn bench_obs(c: &mut Criterion) {
 /// The ingest substrate: `ReorderBuffer` re-sequencing a within-horizon
 /// jittered stream (the per-record cost of dirty-stream tolerance,
 /// binary-search insert + watermark drain) against the pass-through cost
-/// on an already-sorted stream, and `ShardRouter`'s hash route.
+/// on an already-sorted stream, `ShardRouter`'s hash route, and the
+/// durability path: a checkpoint written and restored, and the `crc32`
+/// trailer over 8 MiB.
 fn bench_ingest(c: &mut Criterion) {
-    use navarchos_fleetsim::{StreamBody, StreamItem};
-    use navarchos_ingest::{ReorderBuffer, ShardRouter};
+    use navarchos_fleetsim::{
+        dirty_stream, interleave_fleet, DirtyConfig, FleetConfig, StreamBody, StreamItem,
+    };
+    use navarchos_ingest::{
+        read_checkpoint, write_checkpoint, IngestConfig, ReorderBuffer, ShardRouter, ShardedIngest,
+    };
+    use navarchos_stat::snapshot::crc32;
 
     const HORIZON: i64 = 1800;
     let mut rng = StdRng::seed_from_u64(6);
@@ -306,6 +313,31 @@ fn bench_ingest(c: &mut Criterion) {
     group.bench_function("route_1024", |b| {
         b.iter(|| vehicles.iter().map(|&v| router.route(v)).sum::<usize>())
     });
+    group.finish();
+
+    // An engine cut mid-stream over a small lossy fleet, two shards: in-flight
+    // reorder buffers, frozen references and a ledger of the alarms so far.
+    // It is built once; the timed closures only write and restore it.
+    let fleet = FleetConfig::small(42).generate();
+    let names = fleet.vehicles[0].frame.names().to_vec();
+    let stream = dirty_stream(&interleave_fleet(&fleet), &DirtyConfig::lossy(7));
+    let cfg = IngestConfig::paper_default(2);
+    let mut engine = ShardedIngest::new(&names, cfg.clone());
+    let cut = stream.len() / 2;
+    let ledger = engine.ingest_batch(stream[..cut].to_vec());
+    let bytes = write_checkpoint(&engine, cut as u64, &ledger);
+    let mut group = c.benchmark_group("checkpoint");
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("write", |b| {
+        b.iter(|| write_checkpoint(&engine, cut as u64, &ledger).len())
+    });
+    group.bench_function("restore", |b| {
+        b.iter(|| read_checkpoint(&names, cfg.clone(), &bytes).map(|r| r.cursor))
+    });
+    let buf: Vec<u8> =
+        (0..8usize << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    group.throughput(Throughput::Bytes(buf.len() as u64));
+    group.bench_function("crc32_8mib", |b| b.iter(|| crc32(&buf)));
     group.finish();
 }
 

@@ -30,11 +30,11 @@
 //! [`SnapError::VersionMismatch`]), a config fingerprint (signal names
 //! plus the scalars that shape serialised state; mismatch is refused as
 //! corrupt rather than misinterpreted), then cursor, alarm ledger, the
-//! engine frame, and a trailing CRC-32 over everything before it. Magic
-//! and version are checked *before* the checksum so a future-format file
-//! is still reported as a version mismatch; any other byte flip fails
-//! the checksum. Truncated or corrupted bytes return [`SnapError`],
-//! never panic.
+//! engine frame, and a trailing CRC-32 ([`crc32`], IEEE 802.3) over
+//! everything before it. Magic and version are checked *before* the
+//! checksum so a future-format file is still reported as a version
+//! mismatch; any other byte flip fails the checksum. Truncated or
+//! corrupted bytes return [`SnapError`], never panic.
 //!
 //! Not captured: health-FSM trackers (wall-clock-rate ops telemetry,
 //! re-armed on the first `observe_health` tick after restore) and obs
@@ -42,6 +42,7 @@
 
 use navarchos_core::pipeline::Alarm;
 use navarchos_obs as obs;
+use navarchos_stat::snapshot::crc32;
 use navarchos_stat::{SnapError, SnapReader, SnapWriter};
 
 use crate::engine::{FleetAlarm, IngestConfig, ShardedIngest};
@@ -52,21 +53,6 @@ pub const CHECKPOINT_MAGIC: &[u8] = b"navarchos-checkpoint";
 
 /// Current snapshot format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
-
-/// CRC-32 (IEEE 802.3, reflected) — the integrity trailer. Bitwise, no
-/// table: checkpoints are written once per N thousand records, so the
-/// ~8 cycles/byte cost is irrelevant next to the serialisation itself.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Everything [`read_checkpoint`] recovers.
 #[derive(Debug)]

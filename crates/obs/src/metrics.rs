@@ -385,33 +385,40 @@ fn recover<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(|p| p.into_inner())
 }
 
+/// The handle registered under `name`, registering a fresh one on first
+/// use. Looks the name up before inserting, so only a first use copies it
+/// into an owned key.
+fn get_or_register<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = recover(map.lock());
+    if let Some(handle) = map.get(name) {
+        return Arc::clone(handle);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
 /// Returns (creating on first use) the counter named `name`. Cache the
 /// handle at call sites on hot paths.
 pub fn counter(name: &str) -> Arc<Counter> {
-    let mut map = recover(registry().counters.lock());
-    Arc::clone(map.entry(name.to_string()).or_default())
+    get_or_register(&registry().counters, name)
 }
 
 /// Returns (creating on first use) the gauge named `name`. Cache the
 /// handle at call sites on hot paths.
 pub fn gauge(name: &str) -> Arc<Gauge> {
-    let mut map = recover(registry().gauges.lock());
-    Arc::clone(map.entry(name.to_string()).or_default())
+    get_or_register(&registry().gauges, name)
 }
 
 /// Returns (creating on first use) the histogram named `name`. Cache the
 /// handle at call sites on hot paths.
 pub fn histogram(name: &str) -> Arc<Histogram> {
-    let mut map = recover(registry().histograms.lock());
-    Arc::clone(map.entry(name.to_string()).or_default())
+    get_or_register(&registry().histograms, name)
 }
 
 /// Returns (creating on first use) the quantile sketch named `name`.
 /// Cache the handle at call sites; hot loops should accumulate into a
 /// local [`QuantileSketch`] and [`Sketch::merge_from`] it at flush time.
 pub fn sketch(name: &str) -> Arc<Sketch> {
-    let mut map = recover(registry().sketches.lock());
-    Arc::clone(map.entry(name.to_string()).or_default())
+    get_or_register(&registry().sketches, name)
 }
 
 /// Point-in-time copy of every registered metric.
@@ -556,6 +563,24 @@ mod tests {
         a.incr();
         assert_eq!(b.get(), 1);
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn registry_miss_registers_the_metric() {
+        let before = snapshot();
+        assert!(!before.counters.contains_key("test.metrics.miss_counter"));
+        assert!(!before.gauges.contains_key("test.metrics.miss_gauge"));
+        assert!(!before.histograms.contains_key("test.metrics.miss_hist"));
+        assert!(!before.sketches.contains_key("test.metrics.miss_sketch"));
+        counter("test.metrics.miss_counter").add(2);
+        gauge("test.metrics.miss_gauge").set(5);
+        histogram("test.metrics.miss_hist").record(9);
+        sketch("test.metrics.miss_sketch").record(1.5);
+        let after = snapshot();
+        assert_eq!(after.counters.get("test.metrics.miss_counter"), Some(&2));
+        assert_eq!(after.gauges.get("test.metrics.miss_gauge"), Some(&5));
+        assert_eq!(after.histograms.get("test.metrics.miss_hist").map(|h| h.count), Some(1));
+        assert_eq!(after.sketches.get("test.metrics.miss_sketch").map(|s| s.count()), Some(1));
     }
 
     #[test]

@@ -79,16 +79,6 @@ impl SnapWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Write a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -180,11 +170,98 @@ impl SnapWriter {
 
     /// Write a nested frame: the body produced by `f`, length-prefixed.
     /// Readers can skip or bound nested state without understanding it.
+    ///
+    /// The body is written in place: a zero `u64` prefix is reserved, `f`
+    /// appends the body after it, and the prefix is then patched with the
+    /// body's length. The bytes equal [`SnapWriter::put_bytes`] of a body
+    /// built on its own, without copying it once per nesting level. `f`
+    /// writes into the enclosing buffer, which is why the writer exposes
+    /// no length for it to read.
     pub fn put_frame(&mut self, f: impl FnOnce(&mut SnapWriter)) {
-        let mut inner = SnapWriter::new();
-        f(&mut inner);
-        self.put_bytes(&inner.buf);
+        let at = self.buf.len();
+        self.put_u64(0);
+        f(self);
+        let body = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&body.to_le_bytes());
     }
+}
+
+/// The CRC-32 polynomial of IEEE 802.3, bit-reflected.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Bytes [`crc32`] folds per step.
+const CRC32_SLICES: usize = 16;
+
+/// Slicing-by-16 tables, built by `const` evaluation. `CRC32_TABLES[0][b]`
+/// is the CRC register after shifting byte `b` through it alone, and
+/// `CRC32_TABLES[k][b]` the same byte followed by `k` zero bytes, so one
+/// lookup per byte position folds a whole 16-byte block.
+static CRC32_TABLES: [[u32; 256]; CRC32_SLICES] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; CRC32_SLICES] {
+    let mut t = [[0u32; 256]; CRC32_SLICES];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < CRC32_SLICES {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 of IEEE 802.3 (reflected polynomial `0xEDB8_8320`, initial
+/// value and final XOR `0xFFFF_FFFF`): the integrity trailer of every
+/// checkpoint. `crc32(b"123456789") == 0xCBF4_3926`.
+///
+/// Table-driven slicing-by-16: each step folds 16 input bytes through 16
+/// lookups into 16 KiB of compile-time tables, and the tail goes one
+/// byte at a time through the first table. Over a 7.36 MB buffer (the
+/// serve-dirty benchmark's midpoint checkpoint) on a 2-vCPU x86-64 host,
+/// best of 20 runs: 1.6–1.7 GB/s, against 1.24–1.28 GB/s for
+/// slicing-by-8 and 0.15 GB/s for the bitwise loop this replaced, which
+/// spent about 50 ms of every write and every restore of that checkpoint.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut blocks = bytes.chunks_exact(CRC32_SLICES);
+    for b in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][usize::from(lo as u8)]
+            ^ t[14][usize::from((lo >> 8) as u8)]
+            ^ t[13][usize::from((lo >> 16) as u8)]
+            ^ t[12][usize::from((lo >> 24) as u8)]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
+    }
+    !crc
 }
 
 /// Bounds-checked reader over a snapshot byte slice.

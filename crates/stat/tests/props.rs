@@ -7,6 +7,7 @@ use navarchos_stat::descriptive::{
 use navarchos_stat::dist::{chi_squared_cdf, normal_cdf, normal_quantile};
 use navarchos_stat::martingale::{conformal_pvalue, PowerMartingale};
 use navarchos_stat::ranking::{average_ranks, holm_correction, wilcoxon_signed_rank};
+use navarchos_stat::snapshot::crc32;
 use navarchos_stat::{
     IncrementalMean, IncrementalPearson, Restore, SnapReader, SnapWriter, Snapshot,
 };
@@ -419,5 +420,150 @@ proptest! {
         let got = quantile_in_place(&mut xs.clone(), q);
         prop_assert_eq!(got.to_bits(), want.to_bits(), "q {} over {:?}", q, xs);
         prop_assert_eq!(quantile(&xs, q).to_bits(), want.to_bits());
+    }
+}
+
+/// The bitwise CRC-32 loop that `snapshot::crc32` replaced, kept as the
+/// reference the table-driven kernel must match on every input.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
+#[test]
+fn crc32_check_value() {
+    // The published check value of CRC-32/ISO-HDLC, the IEEE 802.3 CRC.
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32(&[]), 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every start offset mod 16 puts a different split between the
+    /// 16-byte blocks and the byte-at-a-time tail.
+    #[test]
+    fn crc32_matches_the_bitwise_loop(bytes in prop::collection::vec(0u8..=255, 0..=2048)) {
+        for start in 0..16 {
+            let tail = &bytes[start.min(bytes.len())..];
+            prop_assert_eq!(crc32(tail), crc32_bitwise(tail), "start {} of {}", start, bytes.len());
+        }
+    }
+}
+
+/// One write of a random snapshot layout: a scalar, a length-prefixed
+/// string or byte run, or a nested frame.
+#[derive(Debug, Clone)]
+enum Node {
+    U8(u8),
+    Bool(bool),
+    U64(u64),
+    F64(f64),
+    Str(String),
+    Bytes(Vec<u8>),
+    Frame(Vec<Node>),
+}
+
+/// Random layouts of up to six writes per level, frames nested at most
+/// `depth` deep; empty frames and empty strings and byte runs are common.
+struct Layouts {
+    depth: u32,
+}
+
+impl Strategy for Layouts {
+    type Value = Vec<Node>;
+
+    fn generate(&self, rng: &mut TestRng) -> Vec<Node> {
+        let kinds = if self.depth == 0 { 6 } else { 8 };
+        (0..rng.below(7))
+            .map(|_| match rng.below(kinds) {
+                0 => Node::U8(rng.next_u64() as u8),
+                1 => Node::Bool(rng.below(2) == 1),
+                2 => Node::U64(rng.next_u64()),
+                3 => Node::F64(f64::from_bits(rng.next_u64())),
+                4 => Node::Str("é".repeat(rng.below(4) as usize)),
+                5 => Node::Bytes((0..rng.below(24)).map(|b| b as u8).collect()),
+                _ => Node::Frame(Layouts { depth: self.depth - 1 }.generate(rng)),
+            })
+            .collect()
+    }
+}
+
+fn write_scalar(w: &mut SnapWriter, node: &Node) {
+    match node {
+        Node::U8(v) => w.put_u8(*v),
+        Node::Bool(v) => w.put_bool(*v),
+        Node::U64(v) => w.put_u64(*v),
+        Node::F64(v) => w.put_f64(*v),
+        Node::Str(v) => w.put_str(v),
+        Node::Bytes(v) => w.put_bytes(v),
+        Node::Frame(_) => unreachable!("frames are written by the callers"),
+    }
+}
+
+fn write_layout(w: &mut SnapWriter, layout: &[Node]) {
+    for node in layout {
+        match node {
+            Node::Frame(body) => w.put_frame(|w| write_layout(w, body)),
+            scalar => write_scalar(w, scalar),
+        }
+    }
+}
+
+/// The buffered `put_frame` that in-place frames replaced: each body is
+/// built in a writer of its own and copied into its parent with a length
+/// prefix, at every level.
+fn write_layout_buffered(layout: &[Node]) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    for node in layout {
+        match node {
+            Node::Frame(body) => w.put_bytes(&write_layout_buffered(body)),
+            scalar => write_scalar(&mut w, scalar),
+        }
+    }
+    w.into_bytes()
+}
+
+fn read_layout(r: &mut SnapReader<'_>, layout: &[Node]) -> Result<(), TestCaseError> {
+    for node in layout {
+        match node {
+            Node::U8(v) => prop_assert_eq!(r.get_u8(), Ok(*v)),
+            Node::Bool(v) => prop_assert_eq!(r.get_bool(), Ok(*v)),
+            Node::U64(v) => prop_assert_eq!(r.get_u64(), Ok(*v)),
+            Node::F64(v) => prop_assert_eq!(r.get_f64().map(f64::to_bits), Ok(v.to_bits())),
+            Node::Str(v) => prop_assert_eq!(r.get_str(), Ok(v.clone())),
+            Node::Bytes(v) => prop_assert_eq!(r.get_bytes(), Ok(v.as_slice())),
+            Node::Frame(body) => {
+                let mut frame = r.get_frame().map_err(|e| TestCaseError::Fail(e.to_string()))?;
+                read_layout(&mut frame, body)?;
+                prop_assert_eq!(frame.finish(), Ok(()));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// In-place frames emit the bytes of buffered ones, and `get_frame`
+    /// reads every layout back.
+    #[test]
+    fn in_place_frames_match_buffered_frames(layout in Layouts { depth: 4 }) {
+        let mut w = SnapWriter::new();
+        write_layout(&mut w, &layout);
+        let bytes = w.into_bytes();
+        prop_assert_eq!(&bytes, &write_layout_buffered(&layout));
+        let mut r = SnapReader::new(&bytes);
+        read_layout(&mut r, &layout)?;
+        prop_assert_eq!(r.finish(), Ok(()));
     }
 }

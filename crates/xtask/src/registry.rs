@@ -55,6 +55,12 @@ const KERNELS: &[(&str, &str, &str, &str)] = &[
         "crates/bench/benches/substrates.rs",
     ),
     (
+        "crc32",
+        "crates/stat/src/snapshot.rs",
+        "crates/stat/tests/props.rs",
+        "crates/bench/benches/substrates.rs",
+    ),
+    (
         "Histogram",
         "crates/obs/src/metrics.rs",
         "crates/obs/tests/props.rs",

@@ -34,19 +34,30 @@ test -s "$CK_DIR/ck.bin"
 ./target/release/navarchos serve-replay \
   --vehicles 10 --days 15 --seed 7 --shards 2 --dirty 99 \
   --restore "$CK_DIR/ck.bin" --verify > /dev/null
+# refused FILE MESSAGE: restoring FILE must exit nonzero, naming MESSAGE.
+refused() {
+  if ./target/release/navarchos serve-replay \
+       --vehicles 10 --days 15 --seed 7 --shards 2 --dirty 99 \
+       --restore "$1" > /dev/null 2> "$CK_DIR/err.txt"; then
+    echo "error: restoring $1 exited 0" >&2
+    exit 1
+  fi
+  grep -q "$2" "$CK_DIR/err.txt" || {
+    echo "error: restoring $1 did not report '$2':" >&2
+    cat "$CK_DIR/err.txt" >&2
+    exit 1
+  }
+}
+# One flipped payload byte in the middle must fail the checksum.
+cp "$CK_DIR/ck.bin" "$CK_DIR/flipped.bin"
+MID=$(( $(wc -c < "$CK_DIR/flipped.bin") / 2 ))
+BYTE=$(od -An -tu1 -j "$MID" -N1 "$CK_DIR/flipped.bin" | tr -d ' ')
+printf "\\$(printf '%03o' $(( BYTE ^ 0xFF )))" \
+  | dd of="$CK_DIR/flipped.bin" bs=1 seek="$MID" count=1 conv=notrunc 2> /dev/null
+refused "$CK_DIR/flipped.bin" 'checkpoint checksum mismatch'
 # A version-skewed checkpoint must be refused with the named error.
 printf '\x09' | dd of="$CK_DIR/ck.bin" bs=1 seek=28 count=1 conv=notrunc 2> /dev/null
-if ./target/release/navarchos serve-replay \
-     --vehicles 10 --days 15 --seed 7 --shards 2 --dirty 99 \
-     --restore "$CK_DIR/ck.bin" > /dev/null 2> "$CK_DIR/err.txt"; then
-  echo "error: restoring a version-9 checkpoint exited 0" >&2
-  exit 1
-fi
-grep -q 'snapshot version mismatch' "$CK_DIR/err.txt" || {
-  echo "error: missing the named version-mismatch error:" >&2
-  cat "$CK_DIR/err.txt" >&2
-  exit 1
-}
+refused "$CK_DIR/ck.bin" 'snapshot version mismatch'
 
 step "cargo run -p xtask -- lint"
 cargo run -p xtask -- lint
