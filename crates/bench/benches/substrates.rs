@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks of the substrate kernels: nearest-neighbour
-//! search, LOF, clustering, the statistics layer and the simulator.
+//! search, LOF, clustering, the statistics layer, the CSV reader and the
+//! simulator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use navarchos_cluster::{linkage, Linkage};
@@ -7,6 +8,7 @@ use navarchos_fleetsim::faults::FaultEffects;
 use navarchos_fleetsim::physics::{simulate_ride, ThermalState};
 use navarchos_fleetsim::usage::RideKind;
 use navarchos_fleetsim::vehicle::VehicleModel;
+use navarchos_fleetsim::FleetConfig;
 use navarchos_neighbors::{KnnIndex, LofModel, Metric, SortedNeighbors};
 use navarchos_stat::correlation::pearson;
 use navarchos_stat::martingale::{conformal_pvalue, PowerMartingale};
@@ -341,6 +343,38 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+/// The CSV reader over one paper-fleet vehicle's file held in memory,
+/// against std's `str::parse` alone over the same cells (the file's
+/// timestamps as `i64`, its values as `f64`): the floor the reader's own
+/// cutting and checking sits on.
+fn bench_csv(c: &mut Criterion) {
+    use navarchos_tsframe::csv::{read_csv, write_csv};
+
+    let fleet = FleetConfig::navarchos().generate();
+    let mut csv = Vec::new();
+    write_csv(&fleet.vehicles[0].frame, &mut csv).expect("paper signal names are writable");
+    let text = std::str::from_utf8(&csv).expect("write_csv writes UTF-8");
+    let rows: Vec<Vec<&str>> = text.lines().skip(1).map(|l| l.split(',').collect()).collect();
+    let mut group = c.benchmark_group("csv");
+    group.throughput(Throughput::Bytes(csv.len() as u64));
+    group.bench_function("read_csv", |b| {
+        b.iter(|| read_csv(csv.as_slice()).map(|f| f.len()).unwrap_or_default())
+    });
+    group.bench_function("str_parse_only", |b| {
+        b.iter(|| {
+            let mut bits = 0u64;
+            for row in &rows {
+                bits ^= row[0].parse::<i64>().unwrap_or_default() as u64;
+                for cell in &row[1..] {
+                    bits ^= cell.parse::<f64>().unwrap_or_default().to_bits();
+                }
+            }
+            bits
+        })
+    });
+    group.finish();
+}
+
 fn bench_fleetsim(c: &mut Criterion) {
     let model = VehicleModel::compact();
     let mut group = c.benchmark_group("simulate_ride");
@@ -377,6 +411,7 @@ criterion_group!(
     bench_par,
     bench_obs,
     bench_ingest,
+    bench_csv,
     bench_fleetsim
 );
 criterion_main!(benches);

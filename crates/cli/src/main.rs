@@ -282,7 +282,7 @@ fn cmd_simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
 fn cmd_monitor(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let telemetry: PathBuf = flags.get("telemetry").ok_or("--telemetry FILE is required")?.into();
     let factor: f64 = get_num(flags, "factor", 8.0)?;
-    let frame = read_csv_file(&telemetry).map_err(|e| e.to_string())?;
+    let frame = read_frame(&telemetry)?;
     println!(
         "loaded {} records / {} signals from {}",
         frame.len(),
@@ -290,8 +290,8 @@ fn cmd_monitor(flags: &BTreeMap<String, String>) -> Result<(), String> {
         telemetry.display()
     );
 
-    let maintenance = match flags.get("events") {
-        Some(path) => load_events(Path::new(path), None)?,
+    let maintenance: Vec<(i64, bool)> = match flags.get("events") {
+        Some(path) => all_events(load_events(Path::new(path))?),
         None => Vec::new(),
     };
 
@@ -356,25 +356,8 @@ fn cmd_monitor(flags: &BTreeMap<String, String>) -> Result<(), String> {
 fn cmd_evaluate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let dir: PathBuf = flags.get("dir").ok_or("--dir DIR is required")?.into();
     let ph: i64 = get_num(flags, "ph", 30)?;
-    let events_path = dir.join("events.csv");
-
-    // Discover the vehicles from the telemetry files.
-    let mut vehicle_files: Vec<(usize, PathBuf)> = Vec::new();
-    for entry in std::fs::read_dir(&dir).map_err(|e| e.to_string())? {
-        let path = entry.map_err(|e| e.to_string())?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(num) = name.strip_prefix("vehicle-").and_then(|s| s.strip_suffix(".csv")) {
-            if let Ok(v) = num.parse::<usize>() {
-                vehicle_files.push((v, path));
-            }
-        }
-    }
-    vehicle_files.sort();
-    if vehicle_files.is_empty() {
-        return Err(format!("no vehicle-XX.csv files in {}", dir.display()));
-    }
+    let vehicle_files = vehicle_files(&dir)?;
+    let events = load_events(&dir.join("events.csv"))?;
 
     let params = RunnerParams::paper_default(TransformKind::Correlation, DetectorKind::ClosestPair);
     let eval = EvalParams::days(ph);
@@ -406,8 +389,8 @@ fn cmd_evaluate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let mut frames = Vec::new();
     let mut repairs_per_vehicle = Vec::new();
     for (v, path) in &vehicle_files {
-        let frame = read_csv_file(path).map_err(|e| e.to_string())?;
-        let maintenance = load_events(&events_path, Some(*v))?;
+        let frame = read_frame(path)?;
+        let maintenance = events.get(v).cloned().unwrap_or_default();
         let repairs: Vec<i64> = maintenance.iter().filter(|&&(_, r)| r).map(|&(t, _)| t).collect();
         frames.push((frame, maintenance));
         repairs_per_vehicle.push(repairs);
@@ -505,23 +488,7 @@ fn cmd_explore(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
     let dir: PathBuf = flags.get("dir").ok_or("--dir DIR is required")?.into();
     let k: usize = get_num(flags, "clusters", 9)?;
-
-    let mut vehicle_files: Vec<(usize, PathBuf)> = Vec::new();
-    for entry in std::fs::read_dir(&dir).map_err(|e| e.to_string())? {
-        let path = entry.map_err(|e| e.to_string())?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(num) = name.strip_prefix("vehicle-").and_then(|s| s.strip_suffix(".csv")) {
-            if let Ok(v) = num.parse::<usize>() {
-                vehicle_files.push((v, path));
-            }
-        }
-    }
-    vehicle_files.sort();
-    if vehicle_files.is_empty() {
-        return Err(format!("no vehicle-XX.csv files in {}", dir.display()));
-    }
+    let vehicle_files = vehicle_files(&dir)?;
 
     let mut manifest = flags.contains_key("metrics").then(|| obs::Manifest::new("explore"));
     let manifest_path = match flags.get("manifest") {
@@ -542,7 +509,7 @@ fn cmd_explore(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let mut owners = Vec::new();
     let mut dim = 0;
     for (v, path) in &vehicle_files {
-        let frame = read_csv_file(path).map_err(|e| e.to_string())?;
+        let frame = read_frame(path)?;
         let filtered = filter.apply(&frame);
         for agg in daily_aggregate(&filtered, SECONDS_PER_DAY, 30) {
             let features = agg.feature_vector();
@@ -616,28 +583,12 @@ fn load_replay_fleet(
 ) -> Result<Vec<(u32, navarchos_tsframe::Frame, Vec<(i64, bool)>)>, String> {
     if let Some(dir) = flags.get("dir") {
         let dir = Path::new(dir);
-        let events_path = dir.join("events.csv");
-        let mut vehicle_files: Vec<(usize, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
-            let path = entry.map_err(|e| e.to_string())?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if let Some(num) = name.strip_prefix("vehicle-").and_then(|s| s.strip_suffix(".csv")) {
-                if let Ok(v) = num.parse::<usize>() {
-                    vehicle_files.push((v, path));
-                }
-            }
-        }
-        vehicle_files.sort();
-        if vehicle_files.is_empty() {
-            return Err(format!("no vehicle-XX.csv files in {}", dir.display()));
-        }
+        let vehicle_files = vehicle_files(dir)?;
+        let events = load_events(&dir.join("events.csv"))?;
         let mut out = Vec::new();
         for (v, path) in vehicle_files {
-            let frame = read_csv_file(&path).map_err(|e| e.to_string())?;
-            let maintenance = load_events(&events_path, Some(v))?;
-            out.push((v as u32, frame, maintenance));
+            let frame = read_frame(&path)?;
+            out.push((v as u32, frame, events.get(&v).cloned().unwrap_or_default()));
         }
         Ok(out)
     } else {
@@ -1429,7 +1380,7 @@ fn cmd_resample(flags: &BTreeMap<String, String>) -> Result<(), String> {
         Some(other) => return Err(format!("--method must be linear or previous, got '{other}'")),
     };
 
-    let frame = read_csv_file(&input).map_err(|e| e.to_string())?;
+    let frame = read_frame(&input)?;
     let gridded = resample(&frame, ResampleSpec { period, max_gap, method });
     write_csv_file(&gridded, &out).map_err(|e| e.to_string())?;
     println!(
@@ -1441,37 +1392,70 @@ fn cmd_resample(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads `(timestamp, is_repair)` maintenance events from events.csv,
-/// optionally filtered to one vehicle.
-fn load_events(path: &Path, vehicle: Option<usize>) -> Result<Vec<(i64, bool)>, String> {
+/// The `vehicle-NN.csv` files of a `simulate` output directory, by vehicle.
+fn vehicle_files(dir: &Path) -> Result<Vec<(usize, PathBuf)>, String> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))? {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        if let Some(num) = name.strip_prefix("vehicle-").and_then(|s| s.strip_suffix(".csv")) {
+            if let Ok(v) = num.parse::<usize>() {
+                files.push((v, path));
+            }
+        }
+    }
+    files.sort();
+    if files.is_empty() {
+        return Err(format!("no vehicle-XX.csv files in {}", dir.display()));
+    }
+    Ok(files)
+}
+
+/// Reads one telemetry CSV, naming the file in any error.
+fn read_frame(path: &Path) -> Result<navarchos_tsframe::Frame, String> {
+    read_csv_file(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Loads each vehicle's `(timestamp, is_repair)` maintenance events from
+/// events.csv, sorted. A missing file means no events; any other read
+/// error, a non-UTF-8 file included, is an error.
+fn load_events(path: &Path) -> Result<BTreeMap<usize, Vec<(i64, bool)>>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(_) => return Ok(Vec::new()), // events are optional
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
+        Err(e) => return Err(format!("{}: {e}", path.display())),
     };
-    let mut out = Vec::new();
+    let mut out: BTreeMap<usize, Vec<(i64, bool)>> = BTreeMap::new();
     for (i, line) in text.lines().enumerate().skip(1) {
         if line.trim().is_empty() {
             continue;
         }
+        let at = || format!("{}: line {}", path.display(), i + 1);
         let cells: Vec<&str> = line.split(',').collect();
         if cells.len() != 3 {
-            return Err(format!("{}: line {} malformed", path.display(), i + 1));
+            return Err(format!("{} malformed", at()));
         }
-        let v: usize = cells[0].trim().parse().map_err(|e| format!("bad vehicle: {e}"))?;
-        if let Some(want) = vehicle {
-            if v != want {
-                continue;
-            }
-        }
-        let t: i64 = cells[1].trim().parse().map_err(|e| format!("bad timestamp: {e}"))?;
+        let v: usize =
+            cells[0].trim().parse().map_err(|e| format!("{}: bad vehicle: {e}", at()))?;
+        let t: i64 =
+            cells[1].trim().parse().map_err(|e| format!("{}: bad timestamp: {e}", at()))?;
         match cells[2].trim() {
-            "service" => out.push((t, false)),
-            "repair" => out.push((t, true)),
+            "service" => out.entry(v).or_default().push((t, false)),
+            "repair" => out.entry(v).or_default().push((t, true)),
             _ => {} // inspections / DTCs don't reset the reference
         }
     }
-    out.sort();
+    out.values_mut().for_each(|events| events.sort());
     Ok(out)
+}
+
+/// The events of every vehicle in one time-sorted list.
+fn all_events(events: BTreeMap<usize, Vec<(i64, bool)>>) -> Vec<(i64, bool)> {
+    let mut all: Vec<(i64, bool)> = events.into_values().flatten().collect();
+    all.sort();
+    all
 }
 
 #[cfg(test)]
@@ -1532,12 +1516,44 @@ mod tests {
             "vehicle,timestamp,kind\n1,200,repair\n0,100,service\n1,50,service\n1,75,inspection\n",
         )
         .unwrap();
-        let all = load_events(&path, None).unwrap();
-        assert_eq!(all, vec![(50, false), (100, false), (200, true)], "inspections dropped");
-        let only_v1 = load_events(&path, Some(1)).unwrap();
-        assert_eq!(only_v1, vec![(50, false), (200, true)]);
+        let events = load_events(&path).unwrap();
+        assert_eq!(events.keys().copied().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(events[&0], vec![(100, false)]);
+        assert_eq!(events[&1], vec![(50, false), (200, true)], "inspections dropped");
+        assert_eq!(all_events(events), vec![(50, false), (100, false), (200, true)]);
         // A missing file is not an error (events are optional).
-        assert!(load_events(&dir.join("nope.csv"), None).unwrap().is_empty());
+        assert!(load_events(&dir.join("nope.csv")).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unreadable_events_are_an_error() {
+        let dir = std::env::temp_dir().join("navarchos-cli-test-bad-events");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("events.csv");
+        std::fs::write(&path, b"vehicle,timestamp,kind\n0,100,serv\xffice\n").unwrap();
+        let err = load_events(&path).unwrap_err();
+        assert!(err.starts_with(&path.display().to_string()), "{err}");
+        assert!(err.contains("UTF-8"), "{err}");
+        // A directory in its place cannot be read either.
+        assert!(load_events(&dir).is_err());
+        std::fs::write(&path, "vehicle,timestamp,kind\n0,1x,service\n").unwrap();
+        let err = load_events(&path).unwrap_err();
+        assert!(err.contains("line 2: bad timestamp"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn files_naming_one_vehicle_each_get_its_events() {
+        let dir = std::env::temp_dir().join("navarchos-cli-test-replay-dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in ["vehicle-1.csv", "vehicle-01.csv", "vehicle-2.csv"] {
+            std::fs::write(dir.join(name), "timestamp,a\n0,1\n").unwrap();
+        }
+        std::fs::write(dir.join("events.csv"), "vehicle,timestamp,kind\n1,5,repair\n").unwrap();
+        let fleet = load_replay_fleet(&flags(&[("dir", dir.to_str().unwrap())])).unwrap();
+        let events: Vec<_> = fleet.iter().map(|(v, _, e)| (*v, e.clone())).collect();
+        assert_eq!(events, [(1, vec![(5, true)]), (1, vec![(5, true)]), (2, vec![])]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

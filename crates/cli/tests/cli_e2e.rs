@@ -212,6 +212,34 @@ fn bad_usage_fails_cleanly() {
 }
 
 #[test]
+fn evaluate_names_the_file_line_and_cell_of_a_corrupted_value() {
+    let dir = temp_dir("corrupt");
+    let out = navarchos()
+        .args(["simulate", "--out", dir.to_str().unwrap()])
+        .args(["--vehicles", "3", "--days", "20", "--failures", "1", "--seed", "3"])
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success(), "simulate failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    // Replace the third cell of line 5 in one vehicle's telemetry.
+    let victim = dir.join("vehicle-01.csv");
+    let text = std::fs::read_to_string(&victim).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let mut cells: Vec<&str> = lines[4].split(',').collect();
+    cells[2] = "4x2";
+    lines[4] = cells.join(",");
+    std::fs::write(&victim, lines.join("\n") + "\n").unwrap();
+
+    let out = navarchos().args(["evaluate", "--dir", dir.to_str().unwrap()]).output().unwrap();
+    assert!(!out.status.success(), "evaluate accepted a corrupted cell");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("{}: ", victim.display())), "file not named: {stderr}");
+    assert!(stderr.contains("line 5: bad value '4x2'"), "line or cell not named: {stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resample_roundtrip() {
     let dir = temp_dir("resample");
     let input = dir.join("raw.csv");

@@ -43,6 +43,18 @@ impl Frame {
         }
     }
 
+    /// Assembles a frame from whole columns, as the CSV reader builds them.
+    pub(crate) fn from_columns(
+        names: Vec<String>,
+        timestamps: Vec<i64>,
+        columns: Vec<Vec<f64>>,
+    ) -> Self {
+        debug_assert_eq!(names.len(), columns.len(), "one column per name");
+        debug_assert!(columns.iter().all(|c| c.len() == timestamps.len()), "ragged columns");
+        debug_assert!(timestamps.windows(2).all(|w| w[0] <= w[1]), "time-ordered rows");
+        Frame { names, timestamps, columns }
+    }
+
     /// Column names.
     pub fn names(&self) -> &[String] {
         &self.names

@@ -1,6 +1,7 @@
 //! Property-based tests for frames, filters and transformations.
 
 use navarchos_tsframe::aggregate::{daily_aggregate, SECONDS_PER_DAY};
+use navarchos_tsframe::csv::{read_csv, write_csv, CsvError};
 use navarchos_tsframe::{
     resample, CorrelationTransform, DeltaTransform, FillMethod, FilterSpec, Frame, MeanTransform,
     RawTransform, ResampleSpec, Transform, ValidRange,
@@ -419,5 +420,215 @@ proptest! {
             prop_assert_eq!(resolved.keep(row), mask[i], "row {} {:?} of {:?}", i, row, names);
             prop_assert_eq!(spec.keep_row(&names, row), mask[i], "row {} {:?} of {:?}", i, row, names);
         }
+    }
+}
+
+/// The reader `read_csv` replaced, kept as the reference: one `String` per
+/// line through `BufRead::lines`, cells split and parsed into a row buffer,
+/// plus the schema rule the new reader adds at line 1.
+fn read_csv_by_lines(reader: impl std::io::Read) -> Result<Frame, CsvError> {
+    use std::io::BufRead;
+    let parse_error = |line: usize, message: String| CsvError::Parse { line, message };
+    let mut lines = std::io::BufReader::new(reader).lines();
+    let header = lines.next().ok_or(parse_error(1, "empty file".into()))??;
+    let mut cols = header.split(',');
+    let first = cols.next().unwrap_or_default().trim();
+    if !first.eq_ignore_ascii_case("timestamp") {
+        return Err(parse_error(1, format!("first column must be 'timestamp', got '{first}'")));
+    }
+    let names: Vec<String> = cols.map(|c| c.trim().to_string()).collect();
+    if names.is_empty() {
+        return Err(parse_error(1, "no signal columns".into()));
+    }
+    for (j, name) in names.iter().enumerate() {
+        let reason = if name.is_empty() {
+            "is empty"
+        } else if name.contains('\r') {
+            "contains ',', '\\n' or '\\r'"
+        } else if names[..j].contains(name) {
+            "is a duplicate"
+        } else {
+            continue;
+        };
+        return Err(parse_error(1, format!("signal name '{name}' in column {} {reason}", j + 2)));
+    }
+
+    let mut frame = Frame::new(&names);
+    let mut row = Vec::with_capacity(names.len());
+    for (i, line) in lines.enumerate() {
+        let line_no = i + 2;
+        let line = line?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let mut cells = line.split(',');
+        let ts: i64 = cells
+            .next()
+            .unwrap_or_default()
+            .trim()
+            .parse()
+            .map_err(|e| parse_error(line_no, format!("bad timestamp: {e}")))?;
+        row.clear();
+        for cell in cells {
+            let v: f64 = cell
+                .trim()
+                .parse()
+                .map_err(|e| parse_error(line_no, format!("bad value '{}': {e}", cell.trim())))?;
+            row.push(v);
+        }
+        if row.len() != names.len() {
+            return Err(parse_error(
+                line_no,
+                format!("expected {} values, got {}", names.len(), row.len()),
+            ));
+        }
+        if let Some(&last) = frame.timestamps().last() {
+            if ts < last {
+                return Err(parse_error(
+                    line_no,
+                    format!("timestamps must be non-decreasing ({ts} after {last})"),
+                ));
+            }
+        }
+        frame.push_row(ts, &row);
+    }
+    Ok(frame)
+}
+
+/// What a read gives, comparable bit for bit.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    /// Names, timestamps and every value's bits, column by column.
+    Frame(Vec<String>, Vec<i64>, Vec<Vec<u64>>),
+    Parse(usize, String),
+    Io(std::io::ErrorKind, String),
+    Name(String),
+}
+
+fn outcome(read: Result<Frame, CsvError>) -> Outcome {
+    match read {
+        Ok(f) => Outcome::Frame(
+            f.names().to_vec(),
+            f.timestamps().to_vec(),
+            (0..f.width()).map(|c| f.column(c).iter().map(|v| v.to_bits()).collect()).collect(),
+        ),
+        Err(CsvError::Parse { line, message }) => Outcome::Parse(line, message),
+        Err(CsvError::Io(e)) => Outcome::Io(e.kind(), e.to_string()),
+        Err(e @ CsvError::Name { .. }) => Outcome::Name(e.to_string()),
+    }
+}
+
+/// A value the round trip must carry: NaN, ±inf, −0.0, subnormals,
+/// extremes, any bit pattern, or an ordinary reading.
+fn csv_value(rng: &mut TestRng) -> f64 {
+    let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+    match rng.below(9) {
+        0 => f64::NAN,
+        1 => sign * f64::INFINITY,
+        2 => -0.0,
+        3 => sign * f64::from_bits(1 + rng.below((1 << 52) - 1)),
+        4 => sign * [f64::MAX, f64::MIN_POSITIVE, f64::EPSILON][rng.below(3) as usize],
+        5 => f64::from_bits(rng.next_u64()),
+        6 => (rng.below(20_000) as f64 - 10_000.0) / 8.0,
+        _ => sign * rng.unit_f64() * 10f64.powi(rng.below(12) as i32 - 4),
+    }
+}
+
+/// `write_csv` output of a random frame, as lines without their `\n`.
+fn csv_lines(rng: &mut TestRng) -> Vec<Vec<u8>> {
+    let width = 1 + rng.below(6) as usize;
+    let names: Vec<String> = (0..width)
+        .map(|j| format!("{}{j}", ["rpm", "speed", "Coolant_T", "s"][rng.below(4) as usize]))
+        .collect();
+    let mut frame = Frame::new(&names);
+    let mut ts = [i64::MIN, -86_400, 0, 1_600_000_000, i64::MAX - 2_000][rng.below(5) as usize];
+    let mut row = vec![0.0; width];
+    for _ in 0..rng.below(24) {
+        row.iter_mut().for_each(|v| *v = csv_value(rng));
+        frame.push_row(ts, &row);
+        ts = ts.saturating_add(rng.below(90) as i64);
+    }
+    let mut buf = Vec::new();
+    write_csv(&frame, &mut buf).expect("valid names are written");
+    buf.split(|&b| b == b'\n').map(<[u8]>::to_vec).filter(|l| !l.is_empty()).collect()
+}
+
+/// Applies one text perturbation to a random line (or to the file's end).
+fn perturb(lines: &mut Vec<Vec<u8>>, crlf: &mut bool, final_newline: &mut bool, rng: &mut TestRng) {
+    let at = rng.below(lines.len() as u64) as usize;
+    let line = &mut lines[at];
+    let commas = |line: &[u8]| -> Vec<usize> {
+        line.iter().enumerate().filter(|(_, &b)| b == b',').map(|(i, _)| i).collect()
+    };
+    match rng.below(11) {
+        0 => {
+            let blank: &[u8] =
+                [&b""[..], b"  ", b" \t ", "\u{a0}".as_bytes()][rng.below(4) as usize];
+            lines.insert(at, blank.to_vec());
+        }
+        1 => *crlf = !*crlf,
+        2 => *final_newline = !*final_newline,
+        3 => {
+            let spaced: Vec<u8> = line
+                .iter()
+                .flat_map(|&b| if b == b',' { b" , ".to_vec() } else { vec![b] })
+                .collect();
+            *line = [&b" "[..], &spaced, b"\t"].concat();
+        }
+        4 => {
+            if let Some(&last) = commas(line).last() {
+                line.truncate(last);
+            }
+        }
+        5 => line.extend_from_slice(b",1.5"),
+        6 => line.push(b','),
+        7 => {
+            let cuts = commas(line);
+            let garbage: &[u8] = [&b"x1"[..], b"1.0.0", b"", b"0x10", b"1e"][rng.below(5) as usize];
+            let k = rng.below(cuts.len() as u64 + 1) as usize;
+            let start = if k == 0 { 0 } else { cuts[k - 1] + 1 };
+            let end = cuts.get(k).copied().unwrap_or(line.len());
+            line.splice(start..end, garbage.iter().copied());
+        }
+        8 => {
+            if at > 0 && at + 1 < lines.len() {
+                lines.swap(at, at + 1);
+            }
+        }
+        9 => {
+            let bad: &[u8] =
+                [&b"\xff"[..], b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"][rng.below(4) as usize];
+            let pos = rng.below(line.len() as u64 + 1) as usize;
+            line.splice(pos..pos, bad.iter().copied());
+        }
+        _ => {
+            let end = commas(line).first().copied().unwrap_or(line.len());
+            line.splice(0..end, b"-9223372036854775808".iter().copied());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn read_csv_equals_the_line_by_line_reader(seed in 0u64..u64::MAX, faults in 0usize..4) {
+        let mut rng = TestRng::for_case(seed);
+        let mut lines = csv_lines(&mut rng);
+        let (mut crlf, mut final_newline) = (false, true);
+        for _ in 0..faults {
+            perturb(&mut lines, &mut crlf, &mut final_newline, &mut rng);
+        }
+        let eol: &[u8] = if crlf { b"\r\n" } else { b"\n" };
+        let mut text = lines.join(eol);
+        if final_newline {
+            text.extend_from_slice(eol);
+        }
+        prop_assert_eq!(
+            outcome(read_csv(text.as_slice())),
+            outcome(read_csv_by_lines(text.as_slice())),
+            "{:?}",
+            String::from_utf8_lossy(&text)
+        );
     }
 }

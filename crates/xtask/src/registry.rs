@@ -79,6 +79,12 @@ const KERNELS: &[(&str, &str, &str, &str)] = &[
         "crates/bench/benches/substrates.rs",
     ),
     (
+        "read_csv",
+        "crates/tsframe/src/csv.rs",
+        "crates/tsframe/tests/props.rs",
+        "crates/bench/benches/substrates.rs",
+    ),
+    (
         "fold_spans",
         "crates/obs/src/flame.rs",
         "crates/obs/tests/props.rs",
