@@ -9,7 +9,7 @@ use navarchos_core::detectors::{
 };
 use navarchos_core::reference::ReferenceProfile;
 use navarchos_core::runner::{run_vehicle, RunnerParams};
-use navarchos_core::TransformKind;
+use navarchos_core::{replay_stream, PipelineConfig, TransformKind};
 use navarchos_fleetsim::FleetConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,10 +105,11 @@ fn bench_score(c: &mut Criterion) {
 
 /// End-to-end scoring path of the paper's best cell (correlation ×
 /// closest-pair) over one vehicle's telemetry — the per-vehicle unit of
-/// work that Table 1's correlation column sums across the fleet — with
-/// metrics off, and again with metrics on (sampled stage clocks, counters
-/// and histograms flushed once per vehicle), so the two lines side by side
-/// read as the cost of recording.
+/// work that Table 1's correlation column sums across the fleet — through
+/// the batch runner and through the served pipeline (`replay_stream`:
+/// threshold, alarms, gauges), each with metrics off and again with
+/// metrics on, so each pair of lines side by side reads as that path's
+/// cost of recording.
 fn bench_scoring_path(c: &mut Criterion) {
     let mut cfg = FleetConfig::small(1);
     cfg.n_vehicles = 1;
@@ -118,6 +119,8 @@ fn bench_scoring_path(c: &mut Criterion) {
     let fleet = cfg.generate();
     let frame = &fleet.vehicles[0].frame;
     let params = RunnerParams::paper_default(TransformKind::Correlation, DetectorKind::ClosestPair);
+    let served =
+        PipelineConfig::paper_default(TransformKind::Correlation, DetectorKind::ClosestPair);
 
     let mut group = c.benchmark_group("scoring_path");
     group.throughput(Throughput::Elements(frame.len() as u64));
@@ -127,9 +130,15 @@ fn bench_scoring_path(c: &mut Criterion) {
     group.bench_function("correlation_closest_pair_w45_s3", |b| {
         b.iter(|| run_vehicle(frame, &[], &params).timestamps.len())
     });
+    group.bench_function("replay_stream_correlation_closest_pair_w45_s3", |b| {
+        b.iter(|| replay_stream(frame, &[], served.clone()).len())
+    });
     navarchos_obs::set_metrics_enabled(true);
     group.bench_function("correlation_closest_pair_w45_s3_metrics_on", |b| {
         b.iter(|| run_vehicle(frame, &[], &params).timestamps.len())
+    });
+    group.bench_function("replay_stream_correlation_closest_pair_w45_s3_metrics_on", |b| {
+        b.iter(|| replay_stream(frame, &[], served.clone()).len())
     });
     navarchos_obs::set_metrics_enabled(was_on);
     group.finish();

@@ -777,8 +777,8 @@ pub fn window_ablation(fleet: &FleetData) -> String {
     for (window, stride) in [(30usize, 3usize), (45, 3), (60, 5), (90, 5)] {
         let mut params =
             RunnerParams::paper_default(TransformKind::Correlation, DetectorKind::ClosestPair);
-        params.window = window;
-        params.stride = stride;
+        params.pipeline.window = window;
+        params.pipeline.stride = stride;
         let outcome = crate::grid::fleet_scores_with(fleet, params);
         let (param, c) = outcome.evaluate(fleet, &fleet.setting26(), 30);
         rows.push(vec![

@@ -52,14 +52,14 @@ pub fn maintenance_of(fleet: &FleetData, v: usize) -> Vec<(i64, bool)> {
 /// scoring wall-clock (single-threaded sum, for Table 1 comparability).
 pub fn fleet_scores(fleet: &FleetData, cell: Cell, policy: ResetPolicy) -> GridOutcome {
     let mut params = RunnerParams::paper_default(cell.transform, cell.detector);
-    params.reset_policy = policy;
+    params.pipeline.reset_policy = policy;
     fleet_scores_with(fleet, params)
 }
 
 /// Like [`fleet_scores`] but with fully explicit runner parameters (used by
 /// the ablation experiments).
 pub fn fleet_scores_with(fleet: &FleetData, params: RunnerParams) -> GridOutcome {
-    let cell = Cell { transform: params.transform, detector: params.detector };
+    let cell = Cell { transform: params.pipeline.transform, detector: params.pipeline.detector };
 
     // One task per vehicle, fanned out over scoped threads; results come
     // back in fleet order with their per-vehicle CPU seconds.

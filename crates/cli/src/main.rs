@@ -7,7 +7,9 @@
 //!
 //! navarchos monitor --telemetry FILE [--events FILE] [--factor F]
 //!     Stream one vehicle's CSV telemetry through the complete solution
-//!     (correlation + Closest-pair) and print alarms.
+//!     (correlation + Closest-pair) and print alarms. With `--events`, the
+//!     reference resets at the services and repairs of the vehicle that
+//!     the `vehicle-NN.csv` file name carries.
 //!
 //! navarchos evaluate --dir DIR [--ph DAYS] [--factor F]
 //!     Run the batch pipeline over a simulated fleet directory and report
@@ -291,7 +293,7 @@ fn cmd_monitor(flags: &BTreeMap<String, String>) -> Result<(), String> {
     );
 
     let maintenance: Vec<(i64, bool)> = match flags.get("events") {
-        Some(path) => all_events(load_events(Path::new(path))?),
+        Some(path) => vehicle_events(&telemetry, Path::new(path))?,
         None => Vec::new(),
     };
 
@@ -301,7 +303,8 @@ fn cmd_monitor(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let mut pipeline = StreamingPipeline::new(frame.names(), cfg);
 
     let mut events = maintenance.iter().peekable();
-    let mut aggregator = AlarmAggregator::new(&EvalParams::days(30), 15);
+    let mut aggregator =
+        AlarmAggregator::new(&EvalParams::days(30), pipeline.channel_names().len());
     let mut row = Vec::new();
     let mut alarms = 0usize;
     let mut instances = 0usize;
@@ -321,7 +324,7 @@ fn cmd_monitor(flags: &BTreeMap<String, String>) -> Result<(), String> {
         frame.row_into(i, &mut row);
         for alarm in pipeline.process_record(t, &row) {
             alarms += 1;
-            if let Some(instance) = aggregator.push(&alarm) {
+            if let Some(instance) = aggregator.push(alarm.timestamp, alarm.channel) {
                 instances += 1;
                 // Attribute the violating channels by name (the same
                 // attribution the structured `pipeline.alarm` events carry),
@@ -1392,18 +1395,19 @@ fn cmd_resample(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// The vehicle number a `vehicle-NN.csv` file name carries.
+fn vehicle_number(path: &Path) -> Option<usize> {
+    let name = path.file_name()?.to_str()?;
+    name.strip_prefix("vehicle-")?.strip_suffix(".csv")?.parse().ok()
+}
+
 /// The `vehicle-NN.csv` files of a `simulate` output directory, by vehicle.
 fn vehicle_files(dir: &Path) -> Result<Vec<(usize, PathBuf)>, String> {
     let mut files = Vec::new();
     for entry in std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))? {
         let path = entry.map_err(|e| e.to_string())?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(num) = name.strip_prefix("vehicle-").and_then(|s| s.strip_suffix(".csv")) {
-            if let Ok(v) = num.parse::<usize>() {
-                files.push((v, path));
-            }
+        if let Some(v) = vehicle_number(&path) {
+            files.push((v, path));
         }
     }
     files.sort();
@@ -1451,11 +1455,17 @@ fn load_events(path: &Path) -> Result<BTreeMap<usize, Vec<(i64, bool)>>, String>
     Ok(out)
 }
 
-/// The events of every vehicle in one time-sorted list.
-fn all_events(events: BTreeMap<usize, Vec<(i64, bool)>>) -> Vec<(i64, bool)> {
-    let mut all: Vec<(i64, bool)> = events.into_values().flatten().collect();
-    all.sort();
-    all
+/// The maintenance events, from events.csv at `events`, of the vehicle
+/// that the `vehicle-NN.csv` telemetry file names; an error when the name
+/// carries no vehicle number.
+fn vehicle_events(telemetry: &Path, events: &Path) -> Result<Vec<(i64, bool)>, String> {
+    let v = vehicle_number(telemetry).ok_or_else(|| {
+        format!(
+            "{}: --events needs the vehicle number in the telemetry file name (vehicle-NN.csv)",
+            telemetry.display()
+        )
+    })?;
+    Ok(load_events(events)?.remove(&v).unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -1520,9 +1530,27 @@ mod tests {
         assert_eq!(events.keys().copied().collect::<Vec<_>>(), [0, 1]);
         assert_eq!(events[&0], vec![(100, false)]);
         assert_eq!(events[&1], vec![(50, false), (200, true)], "inspections dropped");
-        assert_eq!(all_events(events), vec![(50, false), (100, false), (200, true)]);
         // A missing file is not an error (events are optional).
         assert!(load_events(&dir.join("nope.csv")).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn monitor_takes_only_the_named_vehicles_events() {
+        let dir = std::env::temp_dir().join("navarchos-cli-test-vehicle-events");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("events.csv");
+        std::fs::write(
+            &path,
+            "vehicle,timestamp,kind\n1,200,repair\n0,100,service\n1,50,service\n",
+        )
+        .unwrap();
+        let events = |name: &str| vehicle_events(&dir.join(name), &path);
+        assert_eq!(events("vehicle-01.csv").unwrap(), vec![(50, false), (200, true)]);
+        assert_eq!(events("vehicle-0.csv").unwrap(), vec![(100, false)]);
+        assert_eq!(events("vehicle-07.csv").unwrap(), vec![], "a vehicle without events");
+        let err = events("telemetry.csv").unwrap_err();
+        assert!(err.contains("telemetry.csv"), "the error names the file: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -94,6 +94,17 @@ fn evaluate_metrics_writes_valid_manifest_and_trace() {
         .and_then(navarchos_obs::Json::as_num)
         .expect("runner.records counter present");
     assert!(records > 0.0, "vehicles streamed records: {records}");
+    // The scoring core's sampled stage clocks ran (the batch runner and the
+    // alarm replay both drive it).
+    let filter_samples = doc
+        .get("histograms")
+        .and_then(|h| h.get("pipeline.stage.filter_ns"))
+        .and_then(|h| h.get("count"))
+        .and_then(navarchos_obs::Json::as_num);
+    assert!(
+        filter_samples.is_some_and(|n| n > 0.0),
+        "pipeline.stage.filter_ns has samples: {filter_samples:?}"
+    );
     assert!(doc.get("metrics").and_then(|m| m.get("f05")).is_some(), "detection metrics recorded");
 
     // An NDJSON trace was written next to it, and every line round-trips

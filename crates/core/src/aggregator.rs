@@ -1,12 +1,12 @@
-//! Streaming alarm aggregation: turns the raw per-sample threshold
-//! violations of [`crate::pipeline::StreamingPipeline`] into the same
-//! *alarm instances* the batch evaluation protocol counts (violations
-//! grouped over a time window, requiring persistence and multi-channel
-//! agreement), so a deployed pipeline raises operator alarms with exactly
-//! the semantics the experiments validated.
+//! Alarm aggregation: turns channel-attributed threshold violations into
+//! *alarm instances* (violations grouped over a time window, requiring
+//! persistence and multi-channel agreement). The one grouping rule behind
+//! both the operator alarms of a deployed pipeline and the batch
+//! evaluation protocol ([`crate::evaluation::alarm_instances`] is a fold
+//! over it), so served alarms carry exactly the semantics the experiments
+//! validated.
 
 use crate::evaluation::EvalParams;
-use crate::pipeline::Alarm;
 
 /// An operator-facing alarm instance: a persistent multi-channel cluster
 /// of threshold violations.
@@ -40,10 +40,22 @@ impl AlarmAggregator {
     /// per-sample stream can deliver many violations per channel per day,
     /// so the persistence requirement is not capped.)
     pub fn new(eval: &EvalParams, n_channels: usize) -> Self {
+        Self::with_rules(
+            eval.dedup_seconds,
+            eval.min_instance_violations,
+            eval.min_distinct_channels.min(n_channels.max(1)),
+        )
+    }
+
+    /// An aggregator with exactly these rules: groups span `window`
+    /// seconds from their first violation and qualify with at least
+    /// `min_violations` violations on at least `min_channels` distinct
+    /// channels.
+    pub(crate) fn with_rules(window: i64, min_violations: usize, min_channels: usize) -> Self {
         AlarmAggregator {
-            window: eval.dedup_seconds,
-            min_violations: eval.min_instance_violations,
-            min_channels: eval.min_distinct_channels.min(n_channels.max(1)),
+            window,
+            min_violations,
+            min_channels,
             group_start: None,
             count: 0,
             channels: Vec::new(),
@@ -51,22 +63,24 @@ impl AlarmAggregator {
         }
     }
 
-    /// Feeds one pipeline alarm; returns an instance the moment the
-    /// current group first satisfies the rules (at most one instance per
-    /// group).
-    pub fn push(&mut self, alarm: &Alarm) -> Option<AlarmInstance> {
+    /// Feeds one violation of `channel` at `timestamp`; returns an
+    /// instance the moment the current group first satisfies the rules (at
+    /// most one instance per group). Counts and distinct channels only
+    /// grow within a group, so the groups it returns are exactly those
+    /// that satisfy the rules once complete.
+    pub fn push(&mut self, timestamp: i64, channel: usize) -> Option<AlarmInstance> {
         match self.group_start {
-            Some(start) if alarm.timestamp - start < self.window => {
+            Some(start) if timestamp - start < self.window => {
                 self.count += 1;
-                if !self.channels.contains(&alarm.channel) {
-                    self.channels.push(alarm.channel);
+                if !self.channels.contains(&channel) {
+                    self.channels.push(channel);
                 }
             }
             _ => {
-                self.group_start = Some(alarm.timestamp);
+                self.group_start = Some(timestamp);
                 self.count = 1;
                 self.channels.clear();
-                self.channels.push(alarm.channel);
+                self.channels.push(channel);
                 self.emitted_current = false;
             }
         }
@@ -100,16 +114,6 @@ impl AlarmAggregator {
 mod tests {
     use super::*;
 
-    fn alarm(t: i64, channel: usize) -> Alarm {
-        Alarm {
-            timestamp: t,
-            channel,
-            channel_name: format!("ch{channel}"),
-            score: 1.0,
-            threshold: 0.5,
-        }
-    }
-
     fn aggregator(min_violations: usize, min_channels: usize) -> AlarmAggregator {
         let eval = EvalParams {
             ph_seconds: 30 * 86_400,
@@ -123,32 +127,32 @@ mod tests {
     #[test]
     fn emits_once_when_rules_met() {
         let mut agg = aggregator(3, 2);
-        assert!(agg.push(&alarm(0, 0)).is_none());
-        assert!(agg.push(&alarm(100, 0)).is_none(), "persistence not yet met");
-        let inst = agg.push(&alarm(200, 1)).expect("3 violations on 2 channels");
+        assert!(agg.push(0, 0).is_none());
+        assert!(agg.push(100, 0).is_none(), "persistence not yet met");
+        let inst = agg.push(200, 1).expect("3 violations on 2 channels");
         assert_eq!(inst.start, 0);
         assert_eq!(inst.violations, 3);
         assert_eq!(inst.channels, vec![0, 1]);
         // Further violations in the same group do not re-emit.
-        assert!(agg.push(&alarm(300, 2)).is_none());
+        assert!(agg.push(300, 2).is_none());
     }
 
     #[test]
     fn single_channel_groups_filtered() {
         let mut agg = aggregator(3, 2);
         for i in 0..10 {
-            assert!(agg.push(&alarm(i * 60, 0)).is_none(), "one channel never qualifies");
+            assert!(agg.push(i * 60, 0).is_none(), "one channel never qualifies");
         }
     }
 
     #[test]
     fn groups_split_after_window() {
         let mut agg = aggregator(2, 1);
-        assert!(agg.push(&alarm(0, 0)).is_none());
-        assert!(agg.push(&alarm(10, 1)).is_some());
+        assert!(agg.push(0, 0).is_none());
+        assert!(agg.push(10, 1).is_some());
         // Two days later: a fresh group must re-qualify from scratch.
-        assert!(agg.push(&alarm(2 * 86_400, 0)).is_none());
-        assert!(agg.push(&alarm(2 * 86_400 + 60, 1)).is_some());
+        assert!(agg.push(2 * 86_400, 0).is_none());
+        assert!(agg.push(2 * 86_400 + 60, 1).is_some());
     }
 
     #[test]
@@ -162,15 +166,15 @@ mod tests {
             min_distinct_channels: 2,
         };
         let mut agg = AlarmAggregator::new(&eval, 1);
-        assert!(agg.push(&alarm(0, 0)).is_none(), "persistence still required");
-        assert!(agg.push(&alarm(60, 0)).is_some(), "channel requirement capped to 1");
+        assert!(agg.push(0, 0).is_none(), "persistence still required");
+        assert!(agg.push(60, 0).is_some(), "channel requirement capped to 1");
     }
 
     #[test]
     fn reset_clears_group() {
         let mut agg = aggregator(2, 1);
-        agg.push(&alarm(0, 0));
+        agg.push(0, 0);
         agg.reset();
-        assert!(agg.push(&alarm(10, 1)).is_none(), "count restarted");
+        assert!(agg.push(10, 1).is_none(), "count restarted");
     }
 }

@@ -3,6 +3,7 @@
 //! as a single true positive, every alarm outside any PH counts as a
 //! false positive, and the headline metric is F0.5 (precision-weighted).
 
+use crate::aggregator::AlarmAggregator;
 use crate::runner::VehicleScores;
 
 /// Evaluation parameters.
@@ -128,69 +129,16 @@ pub fn dedup_alarms(alarms: &[i64], window: i64, min_violations: usize) -> Vec<i
 /// time) into alarm instances: a group spans `window` seconds from its
 /// first violation and must contain at least `min_violations` violations
 /// on at least `min_channels` distinct channels. Returns the start
-/// timestamp of each qualifying group.
+/// timestamp of each qualifying group. A fold over [`AlarmAggregator`],
+/// the grouper that serves operator alarms.
 pub fn alarm_instances(
     events: &[(i64, usize)],
     window: i64,
     min_violations: usize,
     min_channels: usize,
 ) -> Vec<i64> {
-    let mut out: Vec<i64> = Vec::new();
-    let mut group_start: Option<i64> = None;
-    let mut count = 0usize;
-    let mut channels: Vec<usize> = Vec::new();
-    let flush =
-        |start: Option<i64>, count: usize, channels: &mut Vec<usize>, out: &mut Vec<i64>| {
-            if let Some(s) = start {
-                channels.sort_unstable();
-                channels.dedup();
-                if count >= min_violations && channels.len() >= min_channels {
-                    out.push(s);
-                }
-            }
-            channels.clear();
-        };
-    for &(t, c) in events {
-        match group_start {
-            Some(start) if t - start < window => {
-                count += 1;
-                channels.push(c);
-            }
-            _ => {
-                flush(group_start, count, &mut channels, &mut out);
-                group_start = Some(t);
-                count = 1;
-                channels.push(c);
-            }
-        }
-    }
-    flush(group_start, count, &mut channels, &mut out);
-    out
-}
-
-/// Evaluates one vehicle's (sorted) alarms against its repair times.
-/// `alarms` are raw violation timestamps; they are grouped into instances
-/// with the persistence rule first (channel attribution not available on
-/// this path — use [`evaluate_vehicle_instances`] with
-/// pre-computed instances for the multi-channel rule).
-pub fn evaluate_vehicle(alarms: &[i64], repairs: &[i64], params: EvalParams) -> EvalCounts {
-    let alarms = dedup_alarms(alarms, params.dedup_seconds, params.min_instance_violations);
-    let mut counts = EvalCounts::default();
-    for &r in repairs {
-        let hit = alarms.iter().any(|&a| a >= r - params.ph_seconds && a < r);
-        if hit {
-            counts.tp += 1;
-        } else {
-            counts.fn_ += 1;
-        }
-    }
-    for &a in &alarms {
-        let inside = repairs.iter().any(|&r| a >= r - params.ph_seconds && a < r);
-        if !inside {
-            counts.fp += 1;
-        }
-    }
-    counts
+    let mut grouper = AlarmAggregator::with_rules(window, min_violations, min_channels);
+    events.iter().filter_map(|&(t, c)| grouper.push(t, c)).map(|i| i.start).collect()
 }
 
 /// Evaluates pre-grouped alarm instances against repair times (no further
@@ -216,17 +164,6 @@ pub fn evaluate_vehicle_instances(
         }
     }
     counts
-}
-
-/// Evaluates a whole fleet: `alarms[v]` and `repairs[v]` are per-vehicle,
-/// index-aligned.
-pub fn evaluate(alarms: &[Vec<i64>], repairs: &[Vec<i64>], params: EvalParams) -> EvalCounts {
-    assert_eq!(alarms.len(), repairs.len(), "vehicle count mismatch");
-    let mut total = EvalCounts::default();
-    for (a, r) in alarms.iter().zip(repairs) {
-        total.merge(&evaluate_vehicle(a, r, params));
-    }
-    total
 }
 
 /// Sweeps a threshold parameter over pre-computed score traces and returns
@@ -347,11 +284,17 @@ mod tests {
         EvalParams { min_instance_violations: 1, ..EvalParams::days(days) }
     }
 
+    /// Raw violation timestamps grouped into instances, then counted.
+    fn evaluate_raw(alarms: &[i64], repairs: &[i64], params: EvalParams) -> EvalCounts {
+        let instances = dedup_alarms(alarms, params.dedup_seconds, params.min_instance_violations);
+        evaluate_vehicle_instances(&instances, repairs, params)
+    }
+
     #[test]
     fn alarm_inside_ph_is_tp() {
         let repairs = vec![30 * DAY];
         let alarms = vec![20 * DAY];
-        let c = evaluate_vehicle(&alarms, &repairs, lenient(15));
+        let c = evaluate_raw(&alarms, &repairs, lenient(15));
         assert_eq!(c, EvalCounts { tp: 1, fp: 0, fn_: 0 });
     }
 
@@ -359,7 +302,7 @@ mod tests {
     fn alarm_outside_ph_is_fp_and_failure_missed() {
         let repairs = vec![30 * DAY];
         let alarms = vec![5 * DAY];
-        let c = evaluate_vehicle(&alarms, &repairs, lenient(15));
+        let c = evaluate_raw(&alarms, &repairs, lenient(15));
         assert_eq!(c, EvalCounts { tp: 0, fp: 1, fn_: 1 });
     }
 
@@ -367,7 +310,7 @@ mod tests {
     fn multiple_alarms_in_ph_count_once() {
         let repairs = vec![30 * DAY];
         let alarms = vec![20 * DAY, 22 * DAY, 25 * DAY];
-        let c = evaluate_vehicle(&alarms, &repairs, lenient(15));
+        let c = evaluate_raw(&alarms, &repairs, lenient(15));
         assert_eq!(c.tp, 1);
         assert_eq!(c.fp, 0);
     }
@@ -378,7 +321,7 @@ mod tests {
         // a prediction.
         let repairs = vec![30 * DAY];
         let alarms = vec![30 * DAY];
-        let c = evaluate_vehicle(&alarms, &repairs, lenient(15));
+        let c = evaluate_raw(&alarms, &repairs, lenient(15));
         assert_eq!(c, EvalCounts { tp: 0, fp: 1, fn_: 1 });
     }
 
@@ -399,9 +342,12 @@ mod tests {
 
     #[test]
     fn fleet_evaluation_merges() {
-        let repairs = vec![vec![30 * DAY], vec![]];
-        let alarms = vec![vec![25 * DAY], vec![2 * DAY]];
-        let c = evaluate(&alarms, &repairs, lenient(15));
+        let repairs = [vec![30 * DAY], vec![]];
+        let alarms = [vec![25 * DAY], vec![2 * DAY]];
+        let mut c = EvalCounts::default();
+        for (a, r) in alarms.iter().zip(&repairs) {
+            c.merge(&evaluate_raw(a, r, lenient(15)));
+        }
         assert_eq!(c, EvalCounts { tp: 1, fp: 1, fn_: 0 });
     }
 

@@ -31,7 +31,7 @@ pub mod threshold;
 
 pub use aggregator::{AlarmAggregator, AlarmInstance};
 pub use detectors::{Detector, DetectorKind};
-pub use evaluation::{evaluate, sweep_best, EvalCounts, EvalParams};
+pub use evaluation::{sweep_best, EvalCounts, EvalParams};
 pub use par::{par_map, par_map_mut};
 pub use pipeline::{replay_interleaved, replay_stream, Alarm, PipelineConfig, StreamingPipeline};
 pub use reference::ResetPolicy;

@@ -3,6 +3,11 @@
 //! transformation, a reference profile that fills and fits the detector,
 //! a healthy holdout that tunes the threshold, and alarms with feature
 //! attribution.
+//!
+//! `Scorer` is the loop's one implementation up to the scores: the
+//! served [`StreamingPipeline`] adds the self-tuning threshold and alarm
+//! formation on top of it, and the batch runner
+//! ([`crate::runner::run_vehicle`]) records its scores and segments.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,24 +47,16 @@ pub struct PipelineConfig {
     pub filter: FilterSpec,
 }
 
-/// The paper's sizes for a transformation, as `(window, stride,
-/// profile_length, holdout)`: the one table behind both
-/// [`PipelineConfig::paper_default`] and
-/// [`crate::runner::RunnerParams::paper_default`].
-pub(crate) fn paper_sizes(transform: TransformKind) -> (usize, usize, usize, usize) {
-    match transform {
-        TransformKind::Raw | TransformKind::Delta => (1, 1, 1200, 1500),
-        TransformKind::Mean | TransformKind::Correlation => (45, 3, 80, 50),
-    }
-}
-
 impl PipelineConfig {
     /// The paper's main configuration for a transformation/detector pair:
     /// hour-long windows emitted every 10 minutes for the windowed
     /// transformations, and profile/holdout sizes scaled to the
     /// transformation's emission rate.
     pub fn paper_default(transform: TransformKind, detector: DetectorKind) -> Self {
-        let (window, stride, profile_length, holdout) = paper_sizes(transform);
+        let (window, stride, profile_length, holdout) = match transform {
+            TransformKind::Raw | TransformKind::Delta => (1, 1, 1200, 1500),
+            TransformKind::Mean | TransformKind::Correlation => (45, 3, 80, 50),
+        };
         PipelineConfig {
             transform,
             window,
@@ -93,21 +90,210 @@ pub struct Alarm {
     pub threshold: f64,
 }
 
-/// Pipeline phase.
+/// Scoring phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Collecting transformed samples into the reference profile.
     FillingReference,
     /// Scoring presumed-healthy samples to tune the threshold.
     Holdout(usize),
-    /// Producing alarms.
+    /// Scoring samples that may alarm.
     Detecting,
 }
 
-/// Cached metric handles for the pipeline's hot path: resolved once at
+/// What one record did in the [`Scorer`].
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// Filtered out, or absorbed by a windowed transformation.
+    Skipped,
+    /// The sample emitted at `t` went into the reference profile;
+    /// `fitted` when it completed the profile and the detector was fit.
+    Reference { t: i64, fitted: bool },
+    /// The sample emitted at `t` was scored as a healthy holdout sample;
+    /// `last` when it completed the holdout.
+    Holdout { t: i64, scores: Vec<f64>, last: bool },
+    /// The sample emitted at `t` was scored after the holdout.
+    Detect { t: i64, scores: Vec<f64> },
+}
+
+/// Records, emissions, reference resets and detector fits of a [`Scorer`].
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Counts {
+    pub(crate) records: u64,
+    pub(crate) emissions: u64,
+    pub(crate) resets: u64,
+    pub(crate) refits: u64,
+}
+
+/// Per-record stage durations into `pipeline.stage.*_ns`, buffered
+/// locally (no atomics) and flushed into the shared histograms on drop or
+/// via [`Scorer::flush_obs`].
+#[derive(Debug)]
+struct StageClocks {
+    filter_ns: obs::BatchedRecorder,
+    transform_ns: obs::BatchedRecorder,
+    score_ns: obs::BatchedRecorder,
+}
+
+impl StageClocks {
+    fn new() -> StageClocks {
+        StageClocks {
+            filter_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.filter_ns")),
+            transform_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.transform_ns")),
+            score_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.score_ns")),
+        }
+    }
+}
+
+/// Nanoseconds since `t`, saturating.
+pub(crate) fn ns_since(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The scoring core of Algorithm 1 for one vehicle: the resolved record
+/// filter, the transformation, the reference fill and detector fit, the
+/// scoring of every later sample with the holdout count, and the
+/// maintenance reset under the [`ResetPolicy`].
+///
+/// With metrics on, the stage clocks are read on one record in
+/// 2^k ([`obs::probe_sample_mask`]): each sampled record's filter,
+/// transform and score durations go into `pipeline.stage.*_ns`. The
+/// sampling gate counts records, independent of the filter and emission
+/// cadence, so the sampled sums scale to the stream's stage split.
+#[derive(Debug)]
+pub(crate) struct Scorer {
+    pub(crate) cfg: PipelineConfig,
+    /// `cfg.filter` resolved against the input names.
+    row_filter: RowFilter,
+    transform: Box<dyn Transform>,
+    pub(crate) detector: Box<dyn Detector>,
+    pub(crate) profile: ReferenceProfile,
+    phase: Phase,
+    /// Reused output buffer for the transform's allocation-free fast path.
+    feat: Vec<f64>,
+    pub(crate) counts: Counts,
+    probe_mask: u64,
+    /// Created at the first sampled record.
+    stages: Option<StageClocks>,
+}
+
+impl Scorer {
+    /// Builds the core for records with the given column names.
+    pub(crate) fn new(input_names: &[String], cfg: PipelineConfig) -> Scorer {
+        let transform = cfg.transform.build(input_names, cfg.window, cfg.stride);
+        let dim = transform.output_dim();
+        let detector = cfg.detector.build(dim, &transform.output_names(), &cfg.detector_params);
+        Scorer {
+            row_filter: cfg.filter.resolve(input_names),
+            profile: ReferenceProfile::new(dim, cfg.profile_length),
+            transform,
+            detector,
+            cfg,
+            phase: Phase::FillingReference,
+            feat: vec![0.0; dim],
+            counts: Counts::default(),
+            probe_mask: obs::probe_sample_mask(),
+            stages: None,
+        }
+    }
+
+    /// Handles a maintenance event; returns whether the policy reset the
+    /// reference (profile, detector and transformation state).
+    pub(crate) fn event(&mut self, is_repair: bool) -> bool {
+        if !self.cfg.reset_policy.resets_on(is_repair) {
+            return false;
+        }
+        self.profile.clear();
+        self.detector.reset();
+        self.transform.reset();
+        self.phase = Phase::FillingReference;
+        self.counts.resets += 1;
+        true
+    }
+
+    /// Handles one raw record.
+    pub(crate) fn push(&mut self, timestamp: i64, row: &[f64]) -> Step {
+        self.counts.records += 1;
+        let mut clock = (self.counts.records & self.probe_mask == 0 && obs::metrics_enabled())
+            .then(|| (self.stages.get_or_insert_with(StageClocks::new), Instant::now()));
+        let kept = self.row_filter.keep(row);
+        if let Some((stages, t0)) = &mut clock {
+            stages.filter_ns.record(ns_since(*t0));
+            *t0 = Instant::now();
+        }
+        if !kept {
+            return Step::Skipped;
+        }
+        let emitted = self.transform.push_into(timestamp, row, &mut self.feat);
+        if let Some((stages, t0)) = &mut clock {
+            stages.transform_ns.record(ns_since(*t0));
+            *t0 = Instant::now();
+        }
+        let Some(t) = emitted else {
+            return Step::Skipped;
+        };
+        self.counts.emissions += 1;
+        let step = match self.phase {
+            Phase::FillingReference => {
+                let fitted = self.profile.push(&self.feat);
+                if fitted {
+                    self.detector.fit(&self.profile);
+                    self.phase = Phase::Holdout(0);
+                    self.counts.refits += 1;
+                }
+                Step::Reference { t, fitted }
+            }
+            Phase::Holdout(seen) => {
+                let scores = self.detector.score(&self.feat);
+                let last = seen + 1 >= self.cfg.holdout;
+                self.phase = if last { Phase::Detecting } else { Phase::Holdout(seen + 1) };
+                Step::Holdout { t, scores, last }
+            }
+            Phase::Detecting => Step::Detect { t, scores: self.detector.score(&self.feat) },
+        };
+        if let Some((stages, t0)) = clock {
+            stages.score_ns.record(ns_since(t0));
+        }
+        step
+    }
+
+    /// Flushes the buffered stage durations into the shared histograms.
+    pub(crate) fn flush_obs(&mut self) {
+        if let Some(s) = &mut self.stages {
+            s.filter_ns.flush();
+            s.transform_ns.flush();
+            s.score_ns.flush();
+        }
+    }
+}
+
+/// One item of a vehicle's history in time order.
+pub(crate) enum Walked<'a> {
+    /// A maintenance event `(time, is_repair)`.
+    Event(i64, bool),
+    /// A record `(time, row)`.
+    Record(i64, &'a [f64]),
+}
+
+/// Walks one vehicle's frame in time order, interleaving the time-sorted
+/// maintenance log so that the events at or before a record's time come
+/// before it.
+pub(crate) fn walk(frame: &Frame, maintenance: &[(i64, bool)], mut visit: impl FnMut(Walked<'_>)) {
+    let mut events = maintenance.iter().peekable();
+    let mut row = Vec::with_capacity(frame.width());
+    for (i, &t) in frame.timestamps().iter().enumerate() {
+        while let Some(&(mt, is_repair)) = events.next_if(|&&(mt, _)| mt <= t) {
+            visit(Walked::Event(mt, is_repair));
+        }
+        frame.row_into(i, &mut row);
+        visit(Walked::Record(t, &row));
+    }
+}
+
+/// Cached metric handles for the served path: resolved once at
 /// construction so `process_record` never touches the registry mutex.
-/// Stage timings go through [`obs::BatchedRecorder`]s — plain local
-/// buffers, no atomics per record — flushed into the shared histograms on
+/// Alarm latencies go through an [`obs::BatchedRecorder`] — a plain local
+/// buffer, no atomics per record — flushed into the shared histogram on
 /// drop or via [`StreamingPipeline::flush_obs`]. Score samples likewise
 /// buffer in a local [`obs::QuantileSketch`] and merge into the shared
 /// registry sketches on flush, so the hot path never takes the sketch
@@ -119,9 +305,6 @@ struct PipelineStats {
     resets: Arc<obs::Counter>,
     refits: Arc<obs::Counter>,
     alarms: Arc<obs::Counter>,
-    filter_ns: obs::BatchedRecorder,
-    transform_ns: obs::BatchedRecorder,
-    score_ns: obs::BatchedRecorder,
     alarm_latency_ns: obs::BatchedRecorder,
     /// Fleet-wide score distribution; every pipeline merges into it.
     fleet_scores: Arc<obs::Sketch>,
@@ -140,8 +323,6 @@ struct PipelineStats {
     /// |relative change| of the mean tuned threshold at the last refit,
     /// in basis points — how much a retune actually moved the bar.
     retune_delta: Arc<obs::Gauge>,
-    emissions_since_refit: u64,
-    last_threshold_mean: Option<f64>,
 }
 
 impl PipelineStats {
@@ -172,9 +353,6 @@ impl PipelineStats {
             resets: obs::counter("pipeline.resets"),
             refits: obs::counter("pipeline.refits"),
             alarms: obs::counter("pipeline.alarms"),
-            filter_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.filter_ns")),
-            transform_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.transform_ns")),
-            score_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.score_ns")),
             alarm_latency_ns: obs::BatchedRecorder::new(obs::histogram("alarm.latency_ns")),
             fleet_scores,
             scoped_scores,
@@ -183,8 +361,6 @@ impl PipelineStats {
             threshold_headroom: headroom,
             profile_age: age,
             retune_delta: retune,
-            emissions_since_refit: 0,
-            last_threshold_mean: None,
         }
     }
 
@@ -211,9 +387,6 @@ impl PipelineStats {
     }
 
     fn flush(&mut self) {
-        self.filter_ns.flush();
-        self.transform_ns.flush();
-        self.score_ns.flush();
         self.alarm_latency_ns.flush();
         self.merge_scores();
     }
@@ -227,25 +400,19 @@ impl Drop for PipelineStats {
     }
 }
 
-/// Nanoseconds since `t`, saturating.
-fn ns_since(t: Instant) -> u64 {
-    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// The streaming pipeline of Algorithm 1 for a single vehicle.
+/// The streaming pipeline of Algorithm 1 for a single vehicle: the
+/// `Scorer` plus the self-tuning threshold, alarm formation and the
+/// model-quality gauges.
 #[derive(Debug)]
 pub struct StreamingPipeline {
-    cfg: PipelineConfig,
-    /// `cfg.filter` resolved against the input names at construction.
-    row_filter: RowFilter,
-    transform: Box<dyn Transform>,
-    detector: Box<dyn Detector>,
-    profile: ReferenceProfile,
+    core: Scorer,
     threshold: SelfTuningThreshold,
     channel_names: Vec<String>,
-    phase: Phase,
-    /// Reused output buffer for the transform's allocation-free fast path.
-    feat: Vec<f64>,
+    /// Emissions since the detector last fit (the profile-age gauge).
+    emissions_since_refit: u64,
+    /// Mean tuned threshold of the reference the last reset discarded,
+    /// until the next tune measures its retune delta against it.
+    prior_threshold_mean: Option<f64>,
     stats: PipelineStats,
 }
 
@@ -267,29 +434,21 @@ impl StreamingPipeline {
         scope: Option<&str>,
     ) -> Self {
         let input_names: Vec<String> = input_names.iter().map(|s| s.as_ref().to_string()).collect();
-        let transform = cfg.transform.build(&input_names, cfg.window, cfg.stride);
-        let dim = transform.output_dim();
-        let names = transform.output_names();
-        let detector = cfg.detector.build(dim, &names, &cfg.detector_params);
-        let channels = detector.n_channels();
-        let channel_names = detector.channel_names();
+        let factor = cfg.threshold_factor;
+        let core = Scorer::new(&input_names, cfg);
         StreamingPipeline {
-            profile: ReferenceProfile::new(dim, cfg.profile_length),
-            threshold: SelfTuningThreshold::new(channels, cfg.threshold_factor),
-            transform,
-            detector,
-            row_filter: cfg.filter.resolve(&input_names),
-            cfg,
-            channel_names,
-            phase: Phase::FillingReference,
-            feat: vec![0.0; dim],
+            threshold: SelfTuningThreshold::new(core.detector.n_channels(), factor),
+            channel_names: core.detector.channel_names(),
+            core,
+            emissions_since_refit: 0,
+            prior_threshold_mean: None,
             stats: PipelineStats::new(scope),
         }
     }
 
     /// Current phase name (for dashboards / examples).
     pub fn phase_name(&self) -> &'static str {
-        match self.phase {
+        match self.core.phase {
             Phase::FillingReference => "filling-reference",
             Phase::Holdout(_) => "threshold-holdout",
             Phase::Detecting => "detecting",
@@ -305,16 +464,12 @@ impl StreamingPipeline {
     /// Handles a maintenance event; resets the reference profile when the
     /// policy says so.
     pub fn process_event(&mut self, is_repair: bool) {
-        if self.cfg.reset_policy.resets_on(is_repair) {
-            self.profile.clear();
-            self.detector.reset();
+        if self.core.event(is_repair) {
+            if let Some(mean) = self.tuned_mean() {
+                self.prior_threshold_mean = Some(mean);
+            }
             self.threshold.reset();
-            self.transform.reset();
-            self.phase = Phase::FillingReference;
-            self.stats.emissions_since_refit = 0;
-            // A fresh reference means the next threshold fit is a first
-            // tune, not a retune — there is no previous bar to delta.
-            self.stats.last_threshold_mean = None;
+            self.emissions_since_refit = 0;
             if obs::metrics_enabled() {
                 self.stats.resets.incr();
             }
@@ -331,14 +486,15 @@ impl StreamingPipeline {
     /// call it explicitly before snapshotting metrics from a still-live
     /// pipeline (the `monitor` loop, dashboards).
     pub fn flush_obs(&mut self) {
+        self.core.flush_obs();
         self.stats.flush();
         if !obs::metrics_enabled() {
             return;
         }
-        self.stats.profile_age.set(self.stats.emissions_since_refit);
-        if self.phase == Phase::Detecting && !self.stats.cumulative_scores.is_empty() {
-            let thr = if self.detector.uses_constant_threshold() {
-                self.cfg.constant_threshold
+        self.stats.profile_age.set(self.emissions_since_refit);
+        if self.core.phase == Phase::Detecting && !self.stats.cumulative_scores.is_empty() {
+            let thr = if self.core.detector.uses_constant_threshold() {
+                self.core.cfg.constant_threshold
             } else {
                 self.threshold
                     .thresholds()
@@ -356,27 +512,30 @@ impl StreamingPipeline {
         }
     }
 
-    /// Records how far a threshold (re)tune moved the mean bar, in basis
-    /// points relative to the previous tune. The first tune after a reset
-    /// only seeds the baseline.
-    fn observe_retune(&mut self) {
+    /// Mean of the finite tuned thresholds; `None` before a tune.
+    fn tuned_mean(&self) -> Option<f64> {
         let finite: Vec<f64> =
             self.threshold.thresholds().iter().copied().filter(|t| t.is_finite()).collect();
-        if finite.is_empty() {
+        (!finite.is_empty()).then(|| finite.iter().sum::<f64>() / finite.len() as f64)
+    }
+
+    /// After a tune: how far it moved the mean bar from the reference the
+    /// last reset discarded, in basis points, into the retune-delta gauge
+    /// (written only with metrics on). A first tune has no baseline.
+    fn observe_retune(&mut self, on: bool) {
+        let (Some(prev), Some(mean)) = (self.prior_threshold_mean.take(), self.tuned_mean()) else {
             return;
-        }
-        let mean = finite.iter().sum::<f64>() / finite.len() as f64;
-        if let Some(prev) = self.stats.last_threshold_mean {
+        };
+        if on {
             let delta_bp = ((mean - prev).abs() / prev.abs().max(1e-12)) * 10_000.0;
             self.stats.retune_delta.set(delta_bp.min(u64::MAX as f64 / 2.0).round() as u64);
         }
-        self.stats.last_threshold_mean = Some(mean);
     }
 
     /// Handles one raw record; returns any alarms raised.
     ///
-    /// With metrics enabled, the filter → transform → score stages are
-    /// timed into `pipeline.stage.*_ns` histograms and every raised alarm
+    /// With metrics enabled, the scoring core's sampled stage clocks feed
+    /// the `pipeline.stage.*_ns` histograms and every raised alarm
     /// records `alarm.latency_ns` — the wall-clock delay from this
     /// record's arrival (entry into this call) to the alarm's emission,
     /// i.e. how long the triggering observation took to become an alarm.
@@ -386,103 +545,74 @@ impl StreamingPipeline {
         let events_on = obs::events_enabled();
         // Arrival timestamp of the triggering record, for alarm latency.
         let arrival = (on || events_on).then(Instant::now);
-        let mut clock = if on {
+        if on {
             self.stats.records.incr();
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let kept = self.row_filter.keep(row);
-        if let Some(t0) = clock {
-            self.stats.filter_ns.record(ns_since(t0));
-            clock = Some(Instant::now());
         }
-        if !kept {
+        let step = self.core.push(timestamp, row);
+        if let Step::Skipped = step {
             return Vec::new();
         }
-        let emitted = self.transform.push_into(timestamp, row, &mut self.feat);
-        if let Some(t0) = clock {
-            self.stats.transform_ns.record(ns_since(t0));
-            clock = Some(Instant::now());
-        }
-        let Some(t) = emitted else {
-            return Vec::new();
-        };
+        self.emissions_since_refit += 1;
         if on {
             self.stats.emissions.incr();
-            self.stats.emissions_since_refit += 1;
         }
-        let alarms = match self.phase {
-            Phase::FillingReference => {
-                if self.profile.push(&self.feat) {
-                    self.detector.fit(&self.profile);
-                    self.phase = Phase::Holdout(0);
-                    if on {
-                        self.stats.refits.incr();
-                        self.stats.emissions_since_refit = 0;
-                    }
-                    if obs::events_enabled() {
-                        obs::emit(
-                            &obs::Event::new("pipeline.refit")
-                                .field("timestamp", t)
-                                .field("profile_len", self.profile.len()),
-                        );
-                    }
+        let (t, scores) = match step {
+            Step::Skipped | Step::Reference { fitted: false, .. } => return Vec::new(),
+            Step::Reference { t, fitted: true } => {
+                self.emissions_since_refit = 0;
+                if on {
+                    self.stats.refits.incr();
                 }
-                Vec::new()
+                if events_on {
+                    obs::emit(
+                        &obs::Event::new("pipeline.refit")
+                            .field("timestamp", t)
+                            .field("profile_len", self.core.profile.len()),
+                    );
+                }
+                return Vec::new();
             }
-            Phase::Holdout(seen) => {
-                let scores = self.detector.score(&self.feat);
+            Step::Holdout { scores, last, .. } => {
                 if on {
                     self.stats.observe_scores(&scores);
                 }
                 self.threshold.observe(&scores);
-                let seen = seen + 1;
-                if seen >= self.cfg.holdout {
+                if last {
                     self.threshold.fit();
-                    self.phase = Phase::Detecting;
-                    if on {
-                        self.observe_retune();
-                    }
-                } else {
-                    self.phase = Phase::Holdout(seen);
+                    self.observe_retune(on);
                 }
-                Vec::new()
+                return Vec::new();
             }
-            Phase::Detecting => {
-                let scores = self.detector.score(&self.feat);
-                if on {
-                    self.stats.observe_scores(&scores);
-                }
-                let violations: Vec<usize> = if self.detector.uses_constant_threshold() {
-                    scores
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &s)| s.is_finite() && s > self.cfg.constant_threshold)
-                        .map(|(i, _)| i)
-                        .collect()
-                } else {
-                    self.threshold.violations(&scores)
-                };
-                violations
-                    .into_iter()
-                    .map(|c| Alarm {
-                        timestamp: t,
-                        channel: c,
-                        channel_name: self.channel_names[c].clone(),
-                        score: scores[c],
-                        threshold: if self.detector.uses_constant_threshold() {
-                            self.cfg.constant_threshold
-                        } else {
-                            self.threshold.thresholds()[c]
-                        },
-                    })
-                    .collect()
-            }
+            Step::Detect { t, scores } => (t, scores),
         };
-        if let Some(t0) = clock {
-            self.stats.score_ns.record(ns_since(t0));
+        if on {
+            self.stats.observe_scores(&scores);
         }
+        let constant = self.core.detector.uses_constant_threshold();
+        let violations: Vec<usize> = if constant {
+            scores
+                .iter()
+                .enumerate()
+                .filter(|(_, &s)| s.is_finite() && s > self.core.cfg.constant_threshold)
+                .map(|(i, _)| i)
+                .collect()
+        } else {
+            self.threshold.violations(&scores)
+        };
+        let alarms: Vec<Alarm> = violations
+            .into_iter()
+            .map(|c| Alarm {
+                timestamp: t,
+                channel: c,
+                channel_name: self.channel_names[c].clone(),
+                score: scores[c],
+                threshold: if constant {
+                    self.core.cfg.constant_threshold
+                } else {
+                    self.threshold.thresholds()[c]
+                },
+            })
+            .collect();
         if !alarms.is_empty() {
             let latency_ns = arrival.map(ns_since);
             if on {
@@ -523,7 +653,7 @@ impl StreamingPipeline {
 // possible) and then restores the detector's evolved streaming state.
 impl Snapshot for StreamingPipeline {
     fn write_state(&self, w: &mut SnapWriter) {
-        match self.phase {
+        match self.core.phase {
             Phase::FillingReference => w.put_u8(0),
             Phase::Holdout(seen) => {
                 w.put_u8(1);
@@ -531,12 +661,12 @@ impl Snapshot for StreamingPipeline {
             }
             Phase::Detecting => w.put_u8(2),
         }
-        self.transform.write_state(w);
-        self.profile.write_state(w);
+        self.core.transform.write_state(w);
+        self.core.profile.write_state(w);
         self.threshold.write_state(w);
-        self.detector.write_state(w);
-        w.put_u64(self.stats.emissions_since_refit);
-        w.put_opt_f64(self.stats.last_threshold_mean);
+        self.core.detector.write_state(w);
+        w.put_u64(self.emissions_since_refit);
+        w.put_opt_f64(self.prior_threshold_mean);
     }
 }
 
@@ -548,21 +678,22 @@ impl Restore for StreamingPipeline {
             2 => Phase::Detecting,
             _ => return Err(SnapError::Corrupt("pipeline phase tag out of range")),
         };
-        self.transform.read_state(r)?;
-        self.profile.read_state(r)?;
+        let core = &mut self.core;
+        core.transform.read_state(r)?;
+        core.profile.read_state(r)?;
         self.threshold.read_state(r)?;
         if phase != Phase::FillingReference {
             // Past the filling phase the profile must be complete, or the
             // deterministic re-fit below could panic on a short profile.
-            if !self.profile.is_full() {
+            if !core.profile.is_full() {
                 return Err(SnapError::Corrupt("pipeline phase past an unfilled profile"));
             }
-            self.detector.fit(&self.profile);
+            core.detector.fit(&core.profile);
         }
-        self.detector.read_state(r)?;
-        self.phase = phase;
-        self.stats.emissions_since_refit = r.get_u64()?;
-        self.stats.last_threshold_mean = r.get_opt_f64()?;
+        core.detector.read_state(r)?;
+        core.phase = phase;
+        self.emissions_since_refit = r.get_u64()?;
+        self.prior_threshold_mean = r.get_opt_f64()?;
         Ok(())
     }
 }
@@ -580,21 +711,11 @@ pub fn replay_stream(
 ) -> Vec<Alarm> {
     let _span = obs::span("replay_stream");
     let mut pipeline = StreamingPipeline::new(frame.names(), cfg);
-    let mut events = maintenance.iter().peekable();
-    let mut row = Vec::with_capacity(frame.width());
     let mut alarms = Vec::new();
-    for i in 0..frame.len() {
-        let t = frame.timestamps()[i];
-        while let Some(&&(mt, is_repair)) = events.peek() {
-            if mt > t {
-                break;
-            }
-            events.next();
-            pipeline.process_event(is_repair);
-        }
-        frame.row_into(i, &mut row);
-        alarms.extend(pipeline.process_record(t, &row));
-    }
+    walk(frame, maintenance, |item| match item {
+        Walked::Event(_, is_repair) => pipeline.process_event(is_repair),
+        Walked::Record(t, row) => alarms.extend(pipeline.process_record(t, row)),
+    });
     alarms
 }
 
@@ -691,7 +812,7 @@ mod tests {
     #[test]
     fn repair_only_policy_ignores_services() {
         let mut cfgp = tiny_pipeline();
-        cfgp.cfg.reset_policy = ResetPolicy::OnRepairOnly;
+        cfgp.core.cfg.reset_policy = ResetPolicy::OnRepairOnly;
         feed_healthy(&mut cfgp, 0, 200);
         cfgp.process_event(false);
         assert_eq!(cfgp.phase_name(), "detecting", "service ignored");
@@ -792,7 +913,7 @@ mod tests {
     #[test]
     fn scoped_pipeline_keeps_per_vehicle_sketch_and_gauges() {
         obs::set_metrics_enabled(true);
-        let cfg = tiny_pipeline().cfg;
+        let cfg = tiny_pipeline().core.cfg;
         let mut p = StreamingPipeline::new_scoped(&["a", "b"], cfg, Some("v99"));
         feed_healthy(&mut p, 0, 200);
         p.flush_obs();
@@ -801,6 +922,26 @@ mod tests {
         assert!(obs::gauge("pipeline.v99.profile_age_emissions").get() > 0);
         // Scoped scores also fold into the fleet sketch.
         assert!(obs::sketch("pipeline.score").snapshot().count() >= scoped.count());
+    }
+
+    #[test]
+    fn retune_delta_measures_against_the_discarded_reference() {
+        obs::set_metrics_enabled(true);
+        let cfg = tiny_pipeline().core.cfg;
+        let mut p = StreamingPipeline::new_scoped(&["a", "b"], cfg, Some("v98"));
+        feed_healthy(&mut p, 0, 200);
+        p.process_event(false);
+        // A noisier relationship after the service tunes a different bar.
+        for i in 0..200usize {
+            let a = (i as f64 * 0.7).sin() * 10.0 + 20.0;
+            let noise = ((i * 7919) % 13) as f64 - 6.0;
+            p.process_record((200 + i) as i64 * 60, &[a, 2.0 * a + 1.0 + noise]);
+        }
+        assert_eq!(p.phase_name(), "detecting");
+        assert!(
+            obs::gauge("pipeline.v98.retune_delta_bp").get() > 0,
+            "the second tune moved the bar"
+        );
     }
 
     #[test]
@@ -820,7 +961,7 @@ mod tests {
             frame.row_into(i, &mut row);
             expected.extend(direct.process_record(frame.timestamps()[i], &row));
         }
-        let cfg = tiny_pipeline().cfg;
+        let cfg = tiny_pipeline().core.cfg;
         let replayed = replay_stream(&frame, &[], cfg);
         assert_eq!(replayed, expected);
         assert!(!replayed.is_empty(), "flip must alarm through replay too");

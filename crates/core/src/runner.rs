@@ -1,39 +1,25 @@
-//! Batch scorer used by the experiments: runs the framework over one
-//! vehicle's full history and records every score with its timestamp and
-//! segment structure, so that threshold sweeps (the paper evaluates
-//! "multiple factors") never require re-scoring.
+//! Batch scorer used by the experiments: runs the scoring core of
+//! Algorithm 1 ([`crate::pipeline`]) over one vehicle's full history and
+//! records every score with its timestamp and segment structure, so that
+//! threshold sweeps (the paper evaluates "multiple factors") never require
+//! re-scoring.
 
 use std::time::Instant;
 
-use crate::detectors::{DetectorKind, DetectorParams};
-use crate::reference::{ReferenceProfile, ResetPolicy};
+use crate::detectors::DetectorKind;
+use crate::pipeline::{ns_since, walk, PipelineConfig, Scorer, Step, Walked};
+use crate::reference::ReferenceProfile;
 use crate::threshold::batch_thresholds;
 use navarchos_obs as obs;
-use navarchos_tsframe::{FilterSpec, Frame, TransformKind};
+use navarchos_tsframe::{Frame, TransformKind};
 
-/// Parameters of a batch run (mirrors
-/// [`crate::pipeline::PipelineConfig`], minus the threshold which is swept
-/// afterwards).
+/// Parameters of a batch run.
 #[derive(Debug, Clone)]
 pub struct RunnerParams {
-    /// Step-1 transformation.
-    pub transform: TransformKind,
-    /// Window length (records) for windowed transformations.
-    pub window: usize,
-    /// Emission stride (records).
-    pub stride: usize,
-    /// Step-3 detector.
-    pub detector: DetectorKind,
-    /// Detector tuning knobs.
-    pub detector_params: DetectorParams,
-    /// Reference length in transformed samples.
-    pub profile_length: usize,
-    /// Healthy holdout samples per segment.
-    pub holdout: usize,
-    /// Reference reset policy.
-    pub reset_policy: ResetPolicy,
-    /// Record filter.
-    pub filter: FilterSpec,
+    /// The scoring configuration. Its two threshold fields
+    /// (`threshold_factor`, `constant_threshold`) are ignored here: the
+    /// threshold is swept afterwards.
+    pub pipeline: PipelineConfig,
     /// Aggregate per-sample scores into per-day channel upper quantiles
     /// (q = 0.85) before thresholding. A developing fault perturbs a large
     /// fraction of each day's windows (intermittent symptoms recur all
@@ -47,20 +33,12 @@ pub struct RunnerParams {
 }
 
 impl RunnerParams {
-    /// Paper-default parameters for a transformation/detector pair (same
-    /// scaling as [`crate::pipeline::PipelineConfig::paper_default`]).
+    /// Paper-default parameters for a transformation/detector pair:
+    /// [`PipelineConfig::paper_default`], daily quantiles and an 8-day
+    /// holdout.
     pub fn paper_default(transform: TransformKind, detector: DetectorKind) -> Self {
-        let (window, stride, profile_length, holdout) = crate::pipeline::paper_sizes(transform);
         RunnerParams {
-            transform,
-            window,
-            stride,
-            detector,
-            detector_params: DetectorParams::default(),
-            profile_length,
-            holdout,
-            reset_policy: ResetPolicy::OnServiceOrRepair,
-            filter: FilterSpec::navarchos_default(),
+            pipeline: PipelineConfig::paper_default(transform, detector),
             daily_median: true,
             holdout_days: 8,
         }
@@ -196,227 +174,109 @@ impl VehicleScores {
     }
 }
 
-/// Per-vehicle observability accumulators: cheap locals bumped inside the
-/// scoring loop (no atomics), flushed to the global registry once per
-/// vehicle. With metrics disabled the loop pays one branch per record.
-///
-/// Stage clocks are read only on a 1-in-2^k sampled subset of records
-/// (see [`obs::probe_sample_mask`]) — the dominant metrics-on cost was
-/// three `Instant::now()` reads per record, not the accumulation — and
-/// the sampled sums are scaled back to full-stream estimates at flush.
-#[derive(Debug, Default, Clone, Copy)]
-struct VehicleObs {
-    records: u64,
-    emissions: u64,
-    resets: u64,
-    refits: u64,
-    /// Records whose stage clocks were actually read.
-    sampled: u64,
-    filter_ns: u64,
-    transform_ns: u64,
-    score_ns: u64,
-}
-
-impl VehicleObs {
-    fn flush(self, wall_ns: u64) {
-        obs::counter("runner.records").add(self.records);
-        obs::counter("runner.emissions").add(self.emissions);
-        obs::counter("runner.resets").add(self.resets);
-        obs::counter("runner.refits").add(self.refits);
-        // Scale the sampled stage sums up to the full record stream. The
-        // sampling gate fires on a fixed record-count period, which is
-        // independent of the filter/emission cadence, so the subset is an
-        // unbiased estimator of the per-stage totals.
-        let scale = if self.sampled > 0 { self.records as f64 / self.sampled as f64 } else { 0.0 };
-        let scaled = |sum: u64| (sum as f64 * scale) as u64;
-        obs::histogram("runner.vehicle_ns").record(wall_ns);
-        obs::histogram("runner.stage.filter_ns").record(scaled(self.filter_ns));
-        obs::histogram("runner.stage.transform_ns").record(scaled(self.transform_ns));
-        obs::histogram("runner.stage.score_ns").record(scaled(self.score_ns));
+/// Std floor per score channel: 5 % of the reference profile's
+/// per-channel value spread, when score channels correspond one-to-one to
+/// transformed features (Closest-pair, XGBoost); empty otherwise.
+fn spread_floors(profile: &ReferenceProfile, n_channels: usize) -> Vec<f64> {
+    if n_channels != profile.dim() {
+        return Vec::new();
     }
+    (0..profile.dim())
+        .map(|c| {
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            for i in 0..profile.len() {
+                let v = profile.sample(i)[c];
+                if v.is_finite() {
+                    lo = lo.min(v);
+                    hi = hi.max(v);
+                }
+            }
+            if hi > lo {
+                0.05 * (hi - lo)
+            } else {
+                0.0
+            }
+        })
+        .collect()
 }
 
 /// Runs the framework over one vehicle's telemetry and records every
 /// score, resetting the reference at the maintenance events in
 /// `maintenance`: time-sorted `(time, is_repair)` pairs. The caller need
-/// not filter them by kind; the [`ResetPolicy`] in `params` decides here
-/// which events reset.
+/// not filter them by kind; the [`crate::ResetPolicy`] in `params` decides
+/// here which events reset.
+///
+/// Each detector fit opens a segment; its holdout ends where the core's
+/// holdout does, and a segment counts once it has scored a sample past its
+/// holdout. With metrics on, the core's sampled stage clocks feed
+/// `pipeline.stage.*_ns`, and the vehicle's counts go to `runner.*` once
+/// at the end.
 pub fn run_vehicle(
     frame: &Frame,
     maintenance: &[(i64, bool)],
     params: &RunnerParams,
 ) -> VehicleScores {
     let _span = obs::span("run_vehicle");
-    let obs_on = obs::metrics_enabled();
-    let started = obs_on.then(Instant::now);
-    // The power-of-two sampling gate for the per-record stage clocks.
-    let probe_mask = obs::probe_sample_mask();
-    let mut vobs = VehicleObs::default();
-    let input_names = frame.names();
-    let row_filter = params.filter.resolve(input_names);
-    let mut transform = params.transform.build(input_names, params.window, params.stride);
-    let dim = transform.output_dim();
-    let names = transform.output_names();
-    let mut detector = params.detector.build(dim, &names, &params.detector_params);
-    let n_channels = detector.n_channels();
-    let channel_names = detector.channel_names();
-    let constant_threshold = detector.uses_constant_threshold();
-
-    let mut profile = ReferenceProfile::new(dim, params.profile_length);
+    let started = obs::metrics_enabled().then(Instant::now);
+    let mut core = Scorer::new(frame.names(), params.pipeline.clone());
+    let n_channels = core.detector.n_channels();
     let mut timestamps: Vec<i64> = Vec::new();
     let mut scores: Vec<f64> = Vec::new();
     let mut segments: Vec<Segment> = Vec::new();
     let mut contexts: Vec<SegmentContext> = Vec::new();
-    let mut pending_context = SegmentContext::default();
-    // Currently open segment: (start, detect_from if holdout complete).
-    let mut open: Option<(usize, Option<usize>)> = None;
-    let mut fitted = false;
-
-    let mut reset_iter = maintenance.iter().peekable();
-    let mut row_buf = Vec::with_capacity(frame.width());
-    // Reused output buffer for the transform's allocation-free fast path.
-    let mut feat = vec![0.0; dim];
-
-    let close_segment = |open: &mut Option<(usize, Option<usize>)>,
-                         segments: &mut Vec<Segment>,
-                         contexts: &mut Vec<SegmentContext>,
-                         context: &SegmentContext,
-                         end: usize| {
-        if let Some((start, detect_from)) = open.take() {
-            let detect_from = detect_from.unwrap_or(end);
-            if end > detect_from {
-                segments.push(Segment { start, detect_from, end });
-                contexts.push(context.clone());
-            }
-        }
-    };
-
-    // Std floor per channel: 5 % of the reference profile's per-channel
-    // value spread, applicable when score channels correspond one-to-one
-    // to transformed features (Closest-pair, XGBoost).
-    let spread_floors = |profile: &ReferenceProfile| -> Vec<f64> {
-        if n_channels != profile.dim() {
-            return Vec::new();
-        }
-        (0..profile.dim())
-            .map(|c| {
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                for i in 0..profile.len() {
-                    let v = profile.sample(i)[c];
-                    if v.is_finite() {
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                }
-                if hi > lo {
-                    0.05 * (hi - lo)
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    };
-
-    for i in 0..frame.len() {
-        let t = frame.timestamps()[i];
-
-        // Apply any maintenance events that occurred before this record.
-        while let Some(&&(mt, is_repair)) = reset_iter.peek() {
-            if mt > t {
-                break;
-            }
-            reset_iter.next();
-            if params.reset_policy.resets_on(is_repair) {
-                close_segment(
-                    &mut open,
-                    &mut segments,
-                    &mut contexts,
-                    &pending_context,
-                    timestamps.len(),
+    walk(frame, maintenance, |item| match item {
+        Walked::Event(time, is_repair) => {
+            if core.event(is_repair) && obs::events_enabled() {
+                obs::emit(
+                    &obs::Event::new("runner.reset")
+                        .field("timestamp", time)
+                        .field("is_repair", is_repair),
                 );
-                profile.clear();
-                detector.reset();
-                transform.reset();
-                fitted = false;
-                vobs.resets += 1;
-                if obs::events_enabled() {
-                    obs::emit(
-                        &obs::Event::new("runner.reset")
-                            .field("timestamp", mt)
-                            .field("is_repair", is_repair),
-                    );
+            }
+        }
+        Walked::Record(time, row) => match core.push(time, row) {
+            Step::Skipped | Step::Reference { fitted: false, .. } => {}
+            Step::Reference { fitted: true, .. } => {
+                let n = timestamps.len();
+                segments.push(Segment { start: n, detect_from: n, end: n });
+                contexts
+                    .push(SegmentContext { std_floors: spread_floors(&core.profile, n_channels) });
+            }
+            Step::Holdout { t, scores: s, last } => {
+                timestamps.push(t);
+                scores.extend_from_slice(&s);
+                if let Some(seg) = segments.last_mut().filter(|_| last) {
+                    seg.detect_from = timestamps.len();
                 }
             }
-        }
-
-        let mut clock = if obs_on {
-            vobs.records += 1;
-            if vobs.records & probe_mask == 0 {
-                vobs.sampled += 1;
-                Some(Instant::now())
-            } else {
-                None
+            Step::Detect { t, scores: s } => {
+                timestamps.push(t);
+                scores.extend_from_slice(&s);
+                if let Some(seg) = segments.last_mut() {
+                    seg.end = timestamps.len();
+                }
             }
-        } else {
-            None
-        };
-        frame.row_into(i, &mut row_buf);
-        let kept = row_filter.keep(&row_buf);
-        if let Some(t0) = clock {
-            vobs.filter_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0);
-            clock = Some(Instant::now());
-        }
-        if !kept {
-            continue;
-        }
-        let emitted = transform.push_into(t, &row_buf, &mut feat);
-        if let Some(t0) = clock {
-            vobs.transform_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0);
-            clock = Some(Instant::now());
-        }
-        let Some(ts) = emitted else {
-            continue;
-        };
-        vobs.emissions += 1;
+        },
+    });
+    let (segments, contexts): (Vec<Segment>, Vec<SegmentContext>) =
+        segments.into_iter().zip(contexts).filter(|(s, _)| s.end > s.detect_from).unzip();
 
-        if !fitted {
-            if profile.push(&feat) {
-                detector.fit(&profile);
-                pending_context = SegmentContext { std_floors: spread_floors(&profile) };
-                fitted = true;
-                open = Some((timestamps.len(), None));
-                vobs.refits += 1;
-            }
-            continue;
-        }
-
-        // Score the sample and record it.
-        let s = detector.score(&feat);
-        if let Some(t0) = clock {
-            vobs.score_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0);
-        }
-        timestamps.push(ts);
-        scores.extend_from_slice(&s);
-        if let Some((start, detect_from @ None)) = &mut open {
-            if timestamps.len() - *start >= params.holdout {
-                *detect_from = Some(timestamps.len());
-            }
-        }
-    }
-    close_segment(&mut open, &mut segments, &mut contexts, &pending_context, timestamps.len());
-
-    if obs_on {
-        let wall_ns = started.map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(0));
-        vobs.flush(wall_ns.unwrap_or(0));
+    let counts = core.counts;
+    if let Some(t0) = started {
+        obs::counter("runner.records").add(counts.records);
+        obs::counter("runner.emissions").add(counts.emissions);
+        obs::counter("runner.resets").add(counts.resets);
+        obs::counter("runner.refits").add(counts.refits);
+        obs::histogram("runner.vehicle_ns").record(ns_since(t0));
     }
     if obs::events_enabled() {
         obs::emit(
             &obs::Event::new("runner.vehicle")
-                .field("records", vobs.records)
-                .field("emissions", vobs.emissions)
-                .field("resets", vobs.resets)
-                .field("refits", vobs.refits)
+                .field("records", counts.records)
+                .field("emissions", counts.emissions)
+                .field("resets", counts.resets)
+                .field("refits", counts.refits)
                 .field("segments", segments.len()),
         );
     }
@@ -425,10 +285,10 @@ pub fn run_vehicle(
         timestamps,
         scores,
         n_channels,
-        channel_names,
+        channel_names: core.detector.channel_names(),
         segments,
         contexts,
-        constant_threshold,
+        constant_threshold: core.detector.uses_constant_threshold(),
     };
     if params.daily_median {
         to_daily_quantile(vs, params.holdout_days)
@@ -490,6 +350,8 @@ fn to_daily_quantile(vs: VehicleScores, holdout_days: usize) -> VehicleScores {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ResetPolicy;
+    use navarchos_tsframe::FilterSpec;
 
     /// Builds a synthetic two-signal frame: healthy (b = 2a) for the first
     /// `flip_at` minutes, then the relationship flips.
@@ -505,15 +367,17 @@ mod tests {
 
     fn quick_params() -> RunnerParams {
         RunnerParams {
-            transform: TransformKind::Correlation,
-            window: 8,
-            stride: 2,
-            detector: DetectorKind::ClosestPair,
-            detector_params: DetectorParams::default(),
-            profile_length: 15,
-            holdout: 10,
-            reset_policy: ResetPolicy::OnServiceOrRepair,
-            filter: FilterSpec::default(),
+            pipeline: PipelineConfig {
+                window: 8,
+                stride: 2,
+                profile_length: 15,
+                holdout: 10,
+                filter: FilterSpec::default(),
+                ..PipelineConfig::paper_default(
+                    TransformKind::Correlation,
+                    DetectorKind::ClosestPair,
+                )
+            },
             daily_median: false,
             holdout_days: 8,
         }
@@ -547,7 +411,7 @@ mod tests {
         let frame = synthetic_frame(800, 10_000);
         let maintenance = vec![(400 * 60, false)]; // a service
         let mut p = quick_params();
-        p.reset_policy = ResetPolicy::OnRepairOnly;
+        p.pipeline.reset_policy = ResetPolicy::OnRepairOnly;
         let vs = run_vehicle(&frame, &maintenance, &p);
         assert_eq!(vs.segments.len(), 1, "service ignored under OnRepairOnly");
     }
@@ -607,3 +471,6 @@ mod tests {
         assert!(vs.alarms(2.0).is_empty());
     }
 }
+
+#[cfg(test)]
+mod equivalence;

@@ -59,8 +59,8 @@ impl SelfTuningThreshold {
         }
         self.fitted = true;
         // Retune telemetry: rare (once per reference rebuild), so the
-        // registry lookup is fine here; sweep paths use `with_factor` /
-        // `batch_thresholds`, which stay untouched.
+        // registry lookup is fine here; sweep paths use
+        // `batch_thresholds`, which stays untouched.
         if navarchos_obs::metrics_enabled() {
             navarchos_obs::counter("threshold.retunes").incr();
         }
@@ -102,21 +102,6 @@ impl SelfTuningThreshold {
         }
         self.thresholds.iter_mut().for_each(|t| *t = f64::INFINITY);
         self.fitted = false;
-    }
-
-    /// Recomputes thresholds for a different factor from the same
-    /// statistics — the cheap path behind factor sweeps.
-    pub fn with_factor(&self, factor: f64) -> Vec<f64> {
-        self.stats
-            .iter()
-            .map(|st| {
-                if st.count() >= 2 {
-                    threshold_value(st.mean(), st.sample_std(), factor)
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect()
     }
 }
 
@@ -237,14 +222,10 @@ mod tests {
 
     #[test]
     fn factor_monotonicity() {
-        let mut th = SelfTuningThreshold::new(1, 1.0);
-        for s in [1.0, 5.0, 2.0, 4.0, 3.0] {
-            th.observe(&[s]);
-        }
-        th.fit();
+        let holdout = vec![vec![1.0, 5.0, 2.0, 4.0, 3.0]];
         let mut last = f64::NEG_INFINITY;
         for f in [0.0, 0.5, 1.0, 2.0, 4.0] {
-            let t = th.with_factor(f)[0];
+            let t = batch_thresholds(&holdout, f, None)[0];
             assert!(t > last, "threshold grows with factor");
             last = t;
         }

@@ -1,13 +1,56 @@
 //! Property-based tests for the framework layer.
 
 use navarchos_core::evaluation::{
-    alarm_instances, constant_grid, dedup_alarms, evaluate_vehicle, evaluate_vehicle_instances,
-    factor_grid, sweep_best, EvalCounts, EvalParams,
+    alarm_instances, constant_grid, dedup_alarms, evaluate_vehicle_instances, factor_grid,
+    sweep_best, EvalCounts, EvalParams,
 };
 use navarchos_core::reference::ReferenceProfile;
 use navarchos_core::runner::{Segment, SegmentContext, VehicleScores};
 use navarchos_core::threshold::{batch_thresholds, SelfTuningThreshold};
 use proptest::prelude::*;
+
+/// A stand-alone batch grouper: violations join the open group while
+/// `t - start < window`; a group counts once complete if it holds at least
+/// `min_violations` violations on at least `min_channels` distinct
+/// channels. The oracle for the fold over `AlarmAggregator`.
+fn batch_instances(
+    events: &[(i64, usize)],
+    window: i64,
+    min_violations: usize,
+    min_channels: usize,
+) -> Vec<i64> {
+    let mut out: Vec<i64> = Vec::new();
+    let mut group_start: Option<i64> = None;
+    let mut count = 0usize;
+    let mut channels: Vec<usize> = Vec::new();
+    let flush =
+        |start: Option<i64>, count: usize, channels: &mut Vec<usize>, out: &mut Vec<i64>| {
+            if let Some(s) = start {
+                channels.sort_unstable();
+                channels.dedup();
+                if count >= min_violations && channels.len() >= min_channels {
+                    out.push(s);
+                }
+            }
+            channels.clear();
+        };
+    for &(t, c) in events {
+        match group_start {
+            Some(start) if t - start < window => {
+                count += 1;
+                channels.push(c);
+            }
+            _ => {
+                flush(group_start, count, &mut channels, &mut out);
+                group_start = Some(t);
+                count = 1;
+                channels.push(c);
+            }
+        }
+    }
+    flush(group_start, count, &mut channels, &mut out);
+    out
+}
 
 proptest! {
     #[test]
@@ -69,6 +112,25 @@ proptest! {
     }
 
     #[test]
+    fn alarm_instances_fold_matches_the_batch_grouper(
+        events in prop::collection::vec((0i64..400, 0usize..5), 0..80),
+        window in 0i64..60,
+        min_violations in 0usize..6,
+        min_channels in 0usize..4,
+        sorted in 0u8..4,
+    ) {
+        let mut events = events;
+        // Mostly time-sorted input, as the protocol feeds it; sometimes not.
+        if sorted > 0 {
+            events.sort();
+        }
+        prop_assert_eq!(
+            alarm_instances(&events, window, min_violations, min_channels),
+            batch_instances(&events, window, min_violations, min_channels)
+        );
+    }
+
+    #[test]
     fn evaluation_counts_consistent(
         mut alarms in prop::collection::vec(0i64..(365 * 86_400i64), 0..32),
         mut repairs in prop::collection::vec(0i64..(365 * 86_400i64), 0..6),
@@ -77,9 +139,9 @@ proptest! {
         repairs.sort_unstable();
         repairs.dedup();
         let params = EvalParams { min_instance_violations: 1, ..EvalParams::days(30) };
-        let c = evaluate_vehicle(&alarms, &repairs, params);
-        prop_assert_eq!(c.tp + c.fn_, repairs.len(), "every failure is hit or missed");
         let instances = dedup_alarms(&alarms, params.dedup_seconds, 1);
+        let c = evaluate_vehicle_instances(&instances, &repairs, params);
+        prop_assert_eq!(c.tp + c.fn_, repairs.len(), "every failure is hit or missed");
         prop_assert!(c.tp + c.fp <= instances.len() + repairs.len());
     }
 

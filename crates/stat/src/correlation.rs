@@ -47,27 +47,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
 }
 
-/// Covariance (population, n denominator) of two equally-long slices.
-pub fn covariance(x: &[f64], y: &[f64]) -> f64 {
-    if x.len() != y.len() || x.is_empty() {
-        return f64::NAN;
-    }
-    let mx = mean(x);
-    let my = mean(y);
-    x.iter().zip(y).map(|(&a, &b)| (a - mx) * (b - my)).sum::<f64>() / x.len() as f64
-}
-
-/// Spearman rank correlation (Pearson on average ranks, robust to monotone
-/// but non-linear relationships).
-pub fn spearman(x: &[f64], y: &[f64]) -> f64 {
-    if x.len() != y.len() || x.len() < 2 {
-        return f64::NAN;
-    }
-    let rx = crate::ranking::average_ranks(x);
-    let ry = crate::ranking::average_ranks(y);
-    pearson(&rx, &ry)
-}
-
 /// Enumerates the strict upper triangle of an `n × n` pair matrix in row
 /// order: (0,1), (0,2), …, (0,n−1), (1,2), … This is the canonical feature
 /// ordering of the correlation transformation; detectors report alarms per
@@ -187,23 +166,6 @@ mod tests {
         let x = [1.0, 2.0, 3.0];
         let y = [1.0, 3.0, 2.0];
         assert!((pearson(&x, &y) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn covariance_matches_definition() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [2.0, 1.0, 4.0, 3.0];
-        // means 2.5, 2.5 → cov = ((-1.5)(-0.5)+(-0.5)(-1.5)+(0.5)(1.5)+(1.5)(0.5))/4 = 3.0/4
-        assert!((covariance(&x, &y) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|v: &f64| v.exp()).collect();
-        assert!((spearman(&x, &y) - 1.0).abs() < 1e-12);
-        // Pearson is below 1 on the same data.
-        assert!(pearson(&x, &y) < 1.0);
     }
 
     #[test]

@@ -24,15 +24,6 @@ pub fn sample_std(xs: &[f64]) -> f64 {
     sample_var(xs).sqrt()
 }
 
-/// Population variance (n denominator). Returns `NaN` for an empty slice.
-pub fn population_var(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 /// Median of a slice (average of the two central order statistics for even
 /// lengths). Returns `NaN` for an empty slice.
 pub fn median(xs: &[f64]) -> f64 {
@@ -85,28 +76,6 @@ pub fn quantile_in_place(values: &mut [f64], q: f64) -> f64 {
     // selected above the floor one (`above` is never empty here).
     let high = above.iter().copied().min_by(f64::total_cmp).unwrap_or(low);
     low * (1.0 - frac) + high * frac
-}
-
-/// Minimum of a slice ignoring NaNs. Returns `NaN` if no finite value exists.
-pub fn min_finite(xs: &[f64]) -> f64 {
-    xs.iter().copied().filter(|x| x.is_finite()).fold(f64::NAN, |acc, x| {
-        if acc.is_nan() || x < acc {
-            x
-        } else {
-            acc
-        }
-    })
-}
-
-/// Maximum of a slice ignoring NaNs. Returns `NaN` if no finite value exists.
-pub fn max_finite(xs: &[f64]) -> f64 {
-    xs.iter().copied().filter(|x| x.is_finite()).fold(f64::NAN, |acc, x| {
-        if acc.is_nan() || x > acc {
-            x
-        } else {
-            acc
-        }
-    })
 }
 
 /// Numerically stable streaming mean/variance accumulator (Welford's
@@ -167,15 +136,6 @@ impl RunningStats {
     /// Unbiased sample standard deviation.
     pub fn sample_std(&self) -> f64 {
         self.sample_var().sqrt()
-    }
-
-    /// Population variance (`NaN` while empty).
-    pub fn population_var(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.n as f64
-        }
     }
 
     /// Smallest observation so far (`NaN` while empty).
@@ -241,26 +201,6 @@ impl crate::snapshot::Restore for RunningStats {
     }
 }
 
-/// Z-score of `x` with respect to a reference `mean` and `std`.
-///
-/// A zero or non-finite `std` yields 0 when `x == mean` and ±`f64::INFINITY`
-/// otherwise, which keeps downstream comparisons meaningful on degenerate
-/// references.
-pub fn zscore(x: f64, mean: f64, std: f64) -> f64 {
-    if std > 0.0 && std.is_finite() {
-        (x - mean) / std
-    } else {
-        // Degenerate spread: sign of the deviation only. `partial_cmp`
-        // makes the NaN case explicit (NaN in, NaN out).
-        match x.partial_cmp(&mean) {
-            Some(std::cmp::Ordering::Equal) => 0.0,
-            Some(std::cmp::Ordering::Greater) => f64::INFINITY,
-            Some(std::cmp::Ordering::Less) => f64::NEG_INFINITY,
-            None => f64::NAN,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,8 +214,7 @@ mod tests {
     #[test]
     fn var_and_std() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        // Known example: population variance 4, sample variance 32/7.
-        assert!((population_var(&xs) - 4.0).abs() < 1e-12);
+        // Known example: sample variance 32/7.
         assert!((sample_var(&xs) - 32.0 / 7.0).abs() < 1e-12);
         assert!((sample_std(&xs) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
         assert!(sample_var(&[1.0]).is_nan());
@@ -352,21 +291,5 @@ mod tests {
         e.merge(&a);
         assert_eq!(e.count(), 2);
         assert!((e.mean() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zscore_degenerate_std() {
-        assert_eq!(zscore(5.0, 5.0, 0.0), 0.0);
-        assert_eq!(zscore(6.0, 5.0, 0.0), f64::INFINITY);
-        assert_eq!(zscore(4.0, 5.0, 0.0), f64::NEG_INFINITY);
-        assert!((zscore(7.0, 5.0, 2.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn min_max_finite_skip_nan() {
-        let xs = [f64::NAN, 3.0, -1.0, f64::NAN, 2.0];
-        assert_eq!(min_finite(&xs), -1.0);
-        assert_eq!(max_finite(&xs), 3.0);
-        assert!(min_finite(&[f64::NAN]).is_nan());
     }
 }

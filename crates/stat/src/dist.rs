@@ -1,94 +1,12 @@
-//! Probability distributions used by the hypothesis tests: the standard
-//! normal and the chi-squared family.
+//! Probability distributions used by the hypothesis tests: the upper
+//! tails of the standard normal and the chi-squared family.
 
-use crate::special::{erf, erfc, gamma_p, gamma_q};
-
-/// Standard normal probability density.
-pub fn normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
-/// Standard normal cumulative distribution function.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
+use crate::special::{erfc, gamma_q};
 
 /// Standard normal survival function (1 − CDF), computed through `erfc` for
 /// accuracy in the upper tail.
 pub fn normal_sf(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Standard normal quantile function (inverse CDF), Acklam's rational
-/// approximation polished with one Halley step; absolute error ≲ 1e-9.
-pub fn normal_quantile(p: f64) -> f64 {
-    if !(0.0..=1.0).contains(&p) {
-        return f64::NAN;
-    }
-    // In [0, 1] after the range check, so `<=`/`>=` hit exactly the ends.
-    if p <= 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p >= 1.0 {
-        return f64::INFINITY;
-    }
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-    // One Halley refinement step.
-    let e = normal_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
-}
-
-/// Chi-squared cumulative distribution function with `k` degrees of freedom.
-pub fn chi_squared_cdf(x: f64, k: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    gamma_p(k / 2.0, x / 2.0)
 }
 
 /// Chi-squared survival function (upper-tail p-value) with `k` degrees of
@@ -105,42 +23,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn normal_cdf_known_values() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-12);
-        assert!((normal_cdf(1.959_963_985) - 0.975).abs() < 1e-6);
-        assert!((normal_cdf(-1.959_963_985) - 0.025).abs() < 1e-6);
-        assert!((normal_cdf(1.0) - 0.841_344_746).abs() < 1e-6);
-    }
-
-    #[test]
     fn normal_sf_complements_cdf() {
+        // CDF(x) = SF(−x), so SF(x) + CDF(x) = SF(x) + SF(−x) = 1.
         for &x in &[-3.0, -1.0, 0.0, 0.5, 2.7] {
-            assert!((normal_cdf(x) + normal_sf(x) - 1.0).abs() < 1e-10);
+            assert!((normal_sf(x) + normal_sf(-x) - 1.0).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn normal_quantile_inverts_cdf() {
-        for &p in &[0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999] {
-            let x = normal_quantile(p);
-            assert!((normal_cdf(x) - p).abs() < 1e-8, "p={p} x={x}");
-        }
-        assert_eq!(normal_quantile(0.0), f64::NEG_INFINITY);
-        assert_eq!(normal_quantile(1.0), f64::INFINITY);
-        assert!(normal_quantile(-0.1).is_nan());
-    }
-
-    #[test]
-    fn normal_pdf_symmetric_and_peaked() {
-        assert!((normal_pdf(0.0) - 0.398_942_280_4).abs() < 1e-9);
-        assert!((normal_pdf(1.3) - normal_pdf(-1.3)).abs() < 1e-15);
+        assert!((normal_sf(1.959_963_985) - 0.025).abs() < 1e-6);
     }
 
     #[test]
     fn chi_squared_known_values() {
-        // Chi-squared with k=2 is Exp(1/2): CDF(x) = 1 - exp(-x/2).
+        // Chi-squared with k=2 is Exp(1/2): SF(x) = exp(-x/2).
         for &x in &[0.5, 1.0, 3.0, 10.0] {
-            assert!((chi_squared_cdf(x, 2.0) - (1.0 - (-x / 2.0f64).exp())).abs() < 1e-10);
+            assert!((chi_squared_sf(x, 2.0) - (-x / 2.0f64).exp()).abs() < 1e-10);
         }
         // 95th percentile of chi2(3) is about 7.8147.
         assert!((chi_squared_sf(7.8147, 3.0) - 0.05).abs() < 1e-4);
@@ -148,8 +43,7 @@ mod tests {
 
     #[test]
     fn chi_squared_edges() {
-        assert_eq!(chi_squared_cdf(0.0, 4.0), 0.0);
         assert_eq!(chi_squared_sf(0.0, 4.0), 1.0);
-        assert_eq!(chi_squared_cdf(-1.0, 4.0), 0.0);
+        assert_eq!(chi_squared_sf(-1.0, 4.0), 1.0);
     }
 }

@@ -5,14 +5,15 @@
 //!
 //! * [`descriptive`] — means, variances, medians, quantiles and incremental
 //!   (Welford) accumulators used by thresholding and aggregation.
-//! * [`correlation`] — Pearson / Spearman correlation and condensed pairwise
+//! * [`correlation`] — Pearson correlation and condensed pairwise
 //!   correlation vectors (the paper's *correlation transformation*).
 //! * [`incremental`] — incremental sliding-window kernels (condensed-pair
 //!   Pearson, windowed mean) with O(f²)/O(f) push-evict, behind the
 //!   streaming transformations' hot path.
-//! * [`special`] — log-gamma, error function and regularised incomplete gamma
-//!   used by the distributions.
-//! * [`dist`] — normal and chi-squared distributions for hypothesis tests.
+//! * [`special`] — log-gamma, complementary error function and regularised
+//!   incomplete gamma used by the distributions.
+//! * [`dist`] — the normal and chi-squared survival functions behind the
+//!   hypothesis tests' p-values.
 //! * [`ranking`] — Friedman test, Wilcoxon signed-rank test, Holm correction
 //!   and the average-rank "critical diagram" analysis used in Figures 6 and 7
 //!   of the paper (the `autorank` procedure).
@@ -31,9 +32,9 @@ pub mod ranking;
 pub mod snapshot;
 pub mod special;
 
-pub use correlation::{pearson, spearman, CorrelationPairs};
+pub use correlation::{pearson, CorrelationPairs};
 pub use descriptive::{mean, median, quantile, sample_std, sample_var, RunningStats};
-pub use dist::{chi_squared_sf, normal_cdf, normal_quantile, normal_sf};
+pub use dist::{chi_squared_sf, normal_sf};
 pub use incremental::{IncrementalMean, IncrementalPearson};
 pub use martingale::{conformal_pvalue, PowerMartingale};
 pub use ranking::{

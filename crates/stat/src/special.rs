@@ -1,5 +1,6 @@
 //! Special functions backing the distribution code: log-gamma (Lanczos),
-//! the error function, and the regularised incomplete gamma function.
+//! the complementary error function, and the regularised incomplete gamma
+//! function.
 
 /// Natural log of the gamma function via the Lanczos approximation (g = 7,
 /// n = 9 coefficients). Accurate to ~1e-13 for positive arguments.
@@ -31,19 +32,6 @@ pub fn ln_gamma(x: f64) -> f64 {
             a += c / (x + i as f64);
         }
         0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-    }
-}
-
-/// Error function, computed through the regularised incomplete gamma
-/// function: `erf(x) = sign(x) · P(1/2, x²)`. Accurate to ~1e-14.
-pub fn erf(x: f64) -> f64 {
-    let p = gamma_p(0.5, x * x);
-    // `>=` folds x = 0 into the positive branch: gamma_p(1/2, 0) is an
-    // exact +0, so no zero shortcut is needed.
-    if x >= 0.0 {
-        p
-    } else {
-        -p
     }
 }
 
@@ -159,19 +147,13 @@ mod tests {
     }
 
     #[test]
-    fn erf_known_values() {
-        assert!(erf(0.0).abs() < 1e-12);
-        assert!((erf(1.0) - 0.842_700_79).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.842_700_79).abs() < 1e-6);
-        assert!((erf(2.0) - 0.995_322_27).abs() < 1e-6);
-        assert!((erf(6.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn erfc_complements_erf() {
+        // erf is odd, so erfc(x) + erfc(−x) = (1 − erf x) + (1 + erf x) = 2.
         for &x in &[-2.0, -0.5, 0.0, 0.5, 2.0] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12);
+            assert!((erfc(x) + erfc(-x) - 2.0).abs() < 1e-12);
         }
+        // erfc(1) = 1 − erf(1) ≈ 0.157 299 21.
+        assert!((erfc(1.0) - 0.157_299_21).abs() < 1e-6);
     }
 
     #[test]

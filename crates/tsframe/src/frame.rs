@@ -39,7 +39,9 @@ impl Frame {
         Frame {
             names: names.iter().map(|s| s.as_ref().to_string()).collect(),
             timestamps: Vec::with_capacity(capacity),
-            columns: vec![Vec::with_capacity(capacity); names.len()],
+            // One `with_capacity` per column: `vec![v; n]` clones `v`, and a
+            // clone of an empty `Vec` reserves nothing.
+            columns: (0..names.len()).map(|_| Vec::with_capacity(capacity)).collect(),
         }
     }
 
@@ -156,15 +158,6 @@ impl Frame {
         out
     }
 
-    /// Row index range `[lo, hi)` of timestamps in `[start, end)` without
-    /// copying.
-    pub fn time_range_indices(&self, start: i64, end: i64) -> (usize, usize) {
-        (
-            self.timestamps.partition_point(|&t| t < start),
-            self.timestamps.partition_point(|&t| t < end),
-        )
-    }
-
     /// Splits the frame into maximal runs of records whose consecutive
     /// timestamps are at most `max_gap` seconds apart — for telemetry,
     /// these are the individual rides.
@@ -275,10 +268,12 @@ mod tests {
     }
 
     #[test]
-    fn time_range_indices_match_slice() {
-        let f = sample_frame();
-        let (lo, hi) = f.time_range_indices(15, 35);
-        assert_eq!((lo, hi), (1, 3));
+    fn with_capacity_reserves_every_column() {
+        let f = Frame::with_capacity(&["a", "b", "c", "d"], 1000);
+        assert!(f.timestamps.capacity() >= 1000);
+        for (c, col) in f.columns.iter().enumerate() {
+            assert!(col.capacity() >= 1000, "column {c} reserved {}", col.capacity());
+        }
     }
 
     #[test]

@@ -44,7 +44,8 @@ fn main() {
     let mut pipeline = StreamingPipeline::new(&PID_NAMES, cfg);
     // Group raw violations into operator alarms with the validated
     // instance rules (persistence + multi-channel agreement).
-    let mut aggregator = AlarmAggregator::new(&EvalParams::days(30), 15);
+    let mut aggregator =
+        AlarmAggregator::new(&EvalParams::days(30), pipeline.channel_names().len());
     let mut instances = 0usize;
 
     // 4. Replay the vehicle's history: events reset the reference profile,
@@ -74,7 +75,7 @@ fn main() {
         for alarm in pipeline.process_record(t, &row) {
             alarms += 1;
             weekly[((alarm.timestamp - START_EPOCH) / (7 * 86_400)) as usize] += 1;
-            if let Some(instance) = aggregator.push(&alarm) {
+            if let Some(instance) = aggregator.push(alarm.timestamp, alarm.channel) {
                 instances += 1;
                 if instances <= 8 {
                     println!(

@@ -24,7 +24,7 @@ fn every_detector_scores_the_simulator() {
     for detector in detectors {
         let mut params = RunnerParams::paper_default(TransformKind::Correlation, detector);
         // Keep learned detectors quick.
-        params.detector_params.xgb_rounds = 10;
+        params.pipeline.detector_params.xgb_rounds = 10;
         let vs = run_vehicle(&vd.frame, &[], &params);
         assert!(!vs.timestamps.is_empty(), "{detector:?} produced no scored samples");
         assert_eq!(vs.scores.len(), vs.timestamps.len() * vs.n_channels);

@@ -90,7 +90,7 @@ fn service_resets_outperform_repair_only_resets() {
     let repair_only = {
         let mut p =
             RunnerParams::paper_default(TransformKind::Correlation, DetectorKind::ClosestPair);
-        p.reset_policy = navarchos_core::ResetPolicy::OnRepairOnly;
+        p.pipeline.reset_policy = navarchos_core::ResetPolicy::OnRepairOnly;
         let traces = score_fleet(&fleet, &p);
         best_f05(&fleet, &traces).1
     };

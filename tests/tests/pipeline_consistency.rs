@@ -14,30 +14,7 @@ fn streaming_pipeline_matches_batch_runner() {
     let vd = &fleet.vehicles[0];
     let factor = 6.0;
 
-    // Batch runner without daily aggregation (per-sample scores).
-    let params = RunnerParams {
-        transform: TransformKind::Correlation,
-        window: 45,
-        stride: 3,
-        detector: DetectorKind::ClosestPair,
-        detector_params: DetectorParams::default(),
-        profile_length: 100,
-        holdout: 60,
-        reset_policy: ResetPolicy::OnServiceOrRepair,
-        filter: FilterSpec::navarchos_default(),
-        daily_median: false,
-        holdout_days: 10,
-    };
-    let maintenance: Vec<(i64, bool)> = vd
-        .events
-        .iter()
-        .filter(|e| e.recorded && e.kind.is_maintenance())
-        .map(|e| (e.timestamp, e.kind == EventKind::Repair))
-        .collect();
-    let vs = run_vehicle(&vd.frame, &maintenance, &params);
-    let batch_alarms: Vec<i64> = vs.alarms(factor);
-
-    // Streaming pipeline with the same configuration.
+    // One configuration for both paths.
     let cfg = PipelineConfig {
         transform: TransformKind::Correlation,
         window: 45,
@@ -51,6 +28,18 @@ fn streaming_pipeline_matches_batch_runner() {
         reset_policy: ResetPolicy::OnServiceOrRepair,
         filter: FilterSpec::navarchos_default(),
     };
+    // Batch runner without daily aggregation (per-sample scores).
+    let params = RunnerParams { pipeline: cfg.clone(), daily_median: false, holdout_days: 10 };
+    let maintenance: Vec<(i64, bool)> = vd
+        .events
+        .iter()
+        .filter(|e| e.recorded && e.kind.is_maintenance())
+        .map(|e| (e.timestamp, e.kind == EventKind::Repair))
+        .collect();
+    let vs = run_vehicle(&vd.frame, &maintenance, &params);
+    let batch_alarms: Vec<i64> = vs.alarms(factor);
+
+    // Streaming pipeline with the same configuration.
     let mut pipeline = StreamingPipeline::new(vd.frame.names(), cfg);
     let mut events = maintenance.iter().peekable();
     let mut stream_alarms: Vec<i64> = Vec::new();
