@@ -156,17 +156,13 @@ fn bench_par(c: &mut Criterion) {
 }
 
 /// The observability substrate: sharded log-linear `Histogram` recording
-/// (the per-task probe `par_map` pays when metrics are on), the
-/// `BatchedRecorder` that hot loops batch into it, the mergeable
-/// `QuantileSketch` (record, quantile query, and a 64-way merge as a fleet
+/// (the per-sample cost every histogram call site pays when metrics are
+/// on), the mergeable `QuantileSketch` (record, quantile query, and a 64-way merge as a fleet
 /// snapshot folds per-shard sketches), NDJSON event encoding via
 /// `encode_ndjson` (the per-event sink cost), and the `fold_spans`
 /// trace-to-flamegraph converter.
 fn bench_obs(c: &mut Criterion) {
-    use navarchos_obs::{
-        encode_ndjson, BatchedRecorder, Event, Histogram, QuantileSketch, SpanClose,
-    };
-    use std::sync::Arc;
+    use navarchos_obs::{encode_ndjson, Event, Histogram, QuantileSketch, SpanClose};
 
     let mut group = c.benchmark_group("obs_kernels");
     let h = Histogram::new();
@@ -179,14 +175,6 @@ fn bench_obs(c: &mut Criterion) {
         })
     });
     group.bench_function("histogram_snapshot", |b| b.iter(|| h.snapshot().count));
-    let target = Arc::new(Histogram::new());
-    let mut rec = BatchedRecorder::new(Arc::clone(&target));
-    group.bench_function("batched_recorder_record", |b| {
-        b.iter(|| {
-            v = v.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            rec.record(v >> 40);
-        })
-    });
 
     // Deterministic, well-spread values: a multiplicative hash of the index.
     let value = |i: usize| (i.wrapping_mul(2_654_435_761) % 1_000_003) as f64;

@@ -7,7 +7,7 @@ use navarchos_core::detectors::DetectorKind;
 use navarchos_core::evaluation::{constant_grid, factor_grid, sweep_best, EvalCounts, EvalParams};
 use navarchos_core::runner::{run_vehicle, RunnerParams, VehicleScores};
 use navarchos_core::ResetPolicy;
-use navarchos_fleetsim::{EventKind, FleetData};
+use navarchos_fleetsim::FleetData;
 use navarchos_tsframe::TransformKind;
 use std::time::Instant;
 
@@ -39,12 +39,7 @@ pub fn repairs_for(fleet: &FleetData, subset: &[usize]) -> Vec<Vec<i64>> {
 /// Recorded maintenance `(time, is_repair)` pairs of one vehicle — the
 /// reset triggers visible to the pipeline.
 pub fn maintenance_of(fleet: &FleetData, v: usize) -> Vec<(i64, bool)> {
-    fleet.vehicles[v]
-        .events
-        .iter()
-        .filter(|e| e.recorded && e.kind.is_maintenance())
-        .map(|e| (e.timestamp, e.kind == EventKind::Repair))
-        .collect()
+    fleet.vehicles[v].maintenance_log()
 }
 
 /// Computes score traces for every vehicle of the fleet under one cell,

@@ -606,12 +606,7 @@ fn load_replay_fleet(
             .vehicles
             .into_iter()
             .map(|vd| {
-                let maintenance: Vec<(i64, bool)> = vd
-                    .events
-                    .iter()
-                    .filter(|e| e.recorded && e.kind.is_maintenance())
-                    .map(|e| (e.timestamp, e.kind == navarchos_fleetsim::EventKind::Repair))
-                    .collect();
+                let maintenance = vd.maintenance_log();
                 (vd.id.0, vd.frame, maintenance)
             })
             .collect())

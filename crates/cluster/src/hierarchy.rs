@@ -1,8 +1,6 @@
 //! Nearest-neighbour-chain agglomerative clustering with Lance–Williams
 //! updates, plus dendrogram cutting utilities.
 
-use navarchos_stat::descriptive::mean;
-
 /// Linkage criterion. All four are *reducible*, which the NN-chain
 /// algorithm requires for exactness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,12 +84,6 @@ impl Dendrogram {
     pub fn cut_k(&self, k: usize) -> Vec<usize> {
         assert!(k >= 1 && k <= self.n.max(1), "k must be in 1..=n");
         self.cut_merges(self.n - k)
-    }
-
-    /// Flat cluster labels keeping only merges with distance ≤ `height`.
-    pub fn cut_height(&self, height: f64) -> Vec<usize> {
-        let applied = self.merges.iter().take_while(|m| m.distance <= height).count();
-        self.cut_merges(applied)
     }
 
     /// Applies the first `applied` merges through a union-find and extracts
@@ -265,44 +257,10 @@ pub fn linkage(points: &[f64], dim: usize, method: Linkage) -> Dendrogram {
     Dendrogram { n, merges }
 }
 
-/// Convenience wrapper: average-linkage labels for `k` clusters over
-/// row-major points, plus the mean intra-cluster distance per cluster
-/// (useful for quick cluster quality reporting).
+/// Convenience wrapper: flat labels for `k` clusters over row-major
+/// points under the given linkage.
 pub fn agglomerative_labels(points: &[f64], dim: usize, k: usize, method: Linkage) -> Vec<usize> {
     linkage(points, dim, method).cut_k(k)
-}
-
-/// Mean pairwise Euclidean distance within each cluster (0 for singleton
-/// clusters). Used by the exploration experiment to describe cluster
-/// tightness.
-pub fn intra_cluster_mean_distance(
-    points: &[f64],
-    dim: usize,
-    labels: &[usize],
-    k: usize,
-) -> Vec<f64> {
-    let n = labels.len();
-    let mut out = Vec::with_capacity(k);
-    for c in 0..k {
-        let members: Vec<usize> = (0..n).filter(|&i| labels[i] == c).collect();
-        if members.len() < 2 {
-            out.push(0.0);
-            continue;
-        }
-        let mut ds = Vec::new();
-        for (ai, &i) in members.iter().enumerate() {
-            for &j in &members[ai + 1..] {
-                let mut s = 0.0;
-                for t in 0..dim {
-                    let d = points[i * dim + t] - points[j * dim + t];
-                    s += d * d;
-                }
-                ds.push(s.sqrt());
-            }
-        }
-        out.push(mean(&ds));
-    }
-    out
 }
 
 /// Mean silhouette coefficient of a flat clustering over row-major
@@ -415,19 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn cut_height_matches_cut_k() {
-        let (pts, dim) = three_blobs();
-        let dend = linkage(&pts, dim, Linkage::Average);
-        // A height between the intra-blob merges (≤ 0.4) and the
-        // inter-blob merges (≥ ~10) must give exactly 3 clusters.
-        let labels = dend.cut_height(1.0);
-        let mut uniq = labels.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 3);
-    }
-
-    #[test]
     fn average_linkage_merge_height_is_mean_distance() {
         // Two pairs: (0, 1) at distance 1, (10, 12) at distance 2; the final
         // average-linkage merge height is the mean of all cross distances.
@@ -465,14 +410,6 @@ mod tests {
             assert_eq!(sizes.len(), k);
             assert_eq!(sizes.iter().sum::<usize>(), 15);
         }
-    }
-
-    #[test]
-    fn intra_cluster_distance_zero_for_singletons() {
-        let pts = vec![0.0, 5.0];
-        let labels = vec![0usize, 1usize];
-        let d = intra_cluster_mean_distance(&pts, 1, &labels, 2);
-        assert_eq!(d, vec![0.0, 0.0]);
     }
 
     #[test]

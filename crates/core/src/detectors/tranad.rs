@@ -15,10 +15,6 @@ pub struct TranAdDetector {
     model: Option<TranAd>,
     /// Rolling buffer of the most recent `window` samples (row-major).
     buffer: Vec<f64>,
-    /// Emit one channel per feature (per-feature reconstruction error)
-    /// instead of the paper's single aggregate score.
-    per_feature: bool,
-    names: Vec<String>,
 }
 
 impl TranAdDetector {
@@ -31,41 +27,17 @@ impl TranAdDetector {
             seed: params.seed,
             ..TranAdConfig::for_features(dim)
         };
-        TranAdDetector {
-            dim,
-            cfg,
-            model: None,
-            buffer: Vec::new(),
-            per_feature: false,
-            names: (0..dim).map(|i| format!("f{i}")).collect(),
-        }
-    }
-
-    /// Switches to per-feature reconstruction channels (an attribution
-    /// extension — the paper's TranAD reports one aggregate score).
-    pub fn with_per_feature_channels<S: AsRef<str>>(mut self, names: &[S]) -> Self {
-        assert_eq!(names.len(), self.dim, "one name per feature");
-        self.per_feature = true;
-        self.names = names.iter().map(|s| s.as_ref().to_string()).collect();
-        self
+        TranAdDetector { dim, cfg, model: None, buffer: Vec::new() }
     }
 }
 
 impl Detector for TranAdDetector {
     fn n_channels(&self) -> usize {
-        if self.per_feature {
-            self.dim
-        } else {
-            1
-        }
+        1
     }
 
     fn channel_names(&self) -> Vec<String> {
-        if self.per_feature {
-            self.names.iter().map(|n| format!("tranad:{n}")).collect()
-        } else {
-            vec!["tranad-reconstruction".to_string()]
-        }
+        vec!["tranad-reconstruction".to_string()]
     }
 
     fn fit(&mut self, reference: &ReferenceProfile) {
@@ -92,11 +64,7 @@ impl Detector for TranAdDetector {
             return vec![model.train_score_mean(); self.n_channels()];
         }
         let window = Matrix::from_vec(self.cfg.window, self.dim, self.buffer.clone());
-        if self.per_feature {
-            model.feature_errors_raw_window(&window)
-        } else {
-            vec![model.score_raw_window(&window)]
-        }
+        vec![model.score_raw_window(&window)]
     }
 
     fn is_fitted(&self) -> bool {
@@ -184,27 +152,6 @@ mod tests {
         let model_mean = first;
         let second = d.score(&[0.1, 0.09])[0];
         assert_eq!(second, model_mean);
-    }
-
-    #[test]
-    fn per_feature_mode_attributes_the_broken_channel() {
-        let mut d = TranAdDetector::new(2, &quick_params()).with_per_feature_channels(&["a", "b"]);
-        assert_eq!(d.n_channels(), 2);
-        assert_eq!(d.channel_names(), vec!["tranad:a", "tranad:b"]);
-        d.fit(&structured_profile(150));
-        // Warm the window with healthy data, then break feature 1.
-        let mut last = vec![0.0; 2];
-        for i in 0..40 {
-            let t = i as f64 * 0.3 + 1.0;
-            last = d.score(&[t.sin(), 0.9 * t.sin()]);
-        }
-        let healthy_b = last[1];
-        for i in 0..40 {
-            let t = i as f64 * 0.3 + 1.0;
-            last = d.score(&[t.sin(), -0.9 * t.sin()]);
-        }
-        assert!(last[1] > healthy_b, "broken feature error grows: {last:?}");
-        assert!(last[1] > last[0], "feature b blamed over a: {last:?}");
     }
 
     #[test]

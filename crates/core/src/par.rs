@@ -49,12 +49,13 @@ where
     }
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).clamp(1, n);
 
-    // Task timing is resolved once per call, not per item; each worker
-    // accumulates into a thread-local `BatchedRecorder` (plain locals, no
-    // atomics) flushed once when the worker finishes. Coarse fan-outs
-    // (fleets of vehicles) time every item; fine-grained fan-outs over
-    // many cheap items sample 1 in 8 so the probe cannot dominate the
-    // work. Disabled, `task_ns` is `None` and each item pays one branch.
+    // The task-timing histogram is resolved once per call, not per item;
+    // each worker records a timed item into it as the item finishes (the
+    // histogram's shards keep workers off each other's cache lines).
+    // Coarse fan-outs (fleets of vehicles) time every item; fine-grained
+    // fan-outs over many cheap items sample 1 in 8 so the probe cannot
+    // dominate the work. Disabled, `task_ns` is `None` and each item pays
+    // one branch.
     let span = navarchos_obs::span("par_map");
     // Workers inherit this id so their spans parent onto the `par_map`
     // frame: a traced evaluate folds into one tree, not a forest with one
@@ -73,9 +74,6 @@ where
             .map(|_| {
                 scope.spawn(move || {
                     let _worker = navarchos_obs::span_child_of("par_map.worker", parent_id);
-                    let mut recorder = task_ns
-                        .as_ref()
-                        .map(|h| navarchos_obs::BatchedRecorder::new(std::sync::Arc::clone(h)));
                     let mut out = Vec::new();
                     loop {
                         // AcqRel: only the RMW's atomicity matters (each index is
@@ -85,19 +83,15 @@ where
                         let Some(item) = items.get(i) else {
                             break;
                         };
-                        match &mut recorder {
-                            Some(rec) if i & item_mask == 0 => {
+                        match task_ns {
+                            Some(h) if i & item_mask == 0 => {
                                 let t0 = std::time::Instant::now();
                                 let r = f(i, item);
-                                rec.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0));
+                                h.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0));
                                 out.push((i, r));
                             }
                             _ => out.push((i, f(i, item))),
                         }
-                    }
-                    // Recorder drop also flushes; explicit for clarity.
-                    if let Some(mut rec) = recorder {
-                        rec.flush();
                     }
                     out
                 })
@@ -230,8 +224,8 @@ mod tests {
         let items: Vec<usize> = (0..40).collect();
         let _ = par_map(&items, |_, &x| x);
         let after = h.snapshot().count;
-        // >= because other tests in this binary may also record; the
-        // batched recorders must have flushed all 40 samples by return.
+        // >= because other tests in this binary may also record; all 40
+        // samples are in by return.
         assert!(after >= before + 40, "{before} -> {after}");
     }
 

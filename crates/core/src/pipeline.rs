@@ -9,7 +9,7 @@
 //! formation on top of it, and the batch runner
 //! ([`crate::runner::run_vehicle`]) records its scores and segments.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::detectors::{Detector, DetectorKind, DetectorParams};
@@ -125,24 +125,24 @@ pub(crate) struct Counts {
     pub(crate) refits: u64,
 }
 
-/// Per-record stage durations into `pipeline.stage.*_ns`, buffered
-/// locally (no atomics) and flushed into the shared histograms on drop or
-/// via [`Scorer::flush_obs`].
+/// The `pipeline.stage.*_ns` histograms that sampled stage durations go
+/// into.
 #[derive(Debug)]
-struct StageClocks {
-    filter_ns: obs::BatchedRecorder,
-    transform_ns: obs::BatchedRecorder,
-    score_ns: obs::BatchedRecorder,
+struct StageHistograms {
+    filter_ns: Arc<obs::Histogram>,
+    transform_ns: Arc<obs::Histogram>,
+    score_ns: Arc<obs::Histogram>,
 }
 
-impl StageClocks {
-    fn new() -> StageClocks {
-        StageClocks {
-            filter_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.filter_ns")),
-            transform_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.transform_ns")),
-            score_ns: obs::BatchedRecorder::new(obs::histogram("pipeline.stage.score_ns")),
-        }
-    }
+/// The stage histograms, resolved once per process, at the first sampled
+/// record.
+fn stage_histograms() -> &'static StageHistograms {
+    static STAGES: OnceLock<StageHistograms> = OnceLock::new();
+    STAGES.get_or_init(|| StageHistograms {
+        filter_ns: obs::histogram("pipeline.stage.filter_ns"),
+        transform_ns: obs::histogram("pipeline.stage.transform_ns"),
+        score_ns: obs::histogram("pipeline.stage.score_ns"),
+    })
 }
 
 /// Nanoseconds since `t`, saturating.
@@ -157,9 +157,10 @@ pub(crate) fn ns_since(t: Instant) -> u64 {
 ///
 /// With metrics on, the stage clocks are read on one record in
 /// 2^k ([`obs::probe_sample_mask`]): each sampled record's filter,
-/// transform and score durations go into `pipeline.stage.*_ns`. The
-/// sampling gate counts records, independent of the filter and emission
-/// cadence, so the sampled sums scale to the stream's stage split.
+/// transform and score durations are recorded into `pipeline.stage.*_ns`
+/// as they are taken, so a live scrape sees them. The sampling gate counts
+/// records, independent of the filter and emission cadence, so the
+/// sampled sums scale to the stream's stage split.
 #[derive(Debug)]
 pub(crate) struct Scorer {
     pub(crate) cfg: PipelineConfig,
@@ -173,8 +174,6 @@ pub(crate) struct Scorer {
     feat: Vec<f64>,
     pub(crate) counts: Counts,
     probe_mask: u64,
-    /// Created at the first sampled record.
-    stages: Option<StageClocks>,
 }
 
 impl Scorer {
@@ -193,7 +192,6 @@ impl Scorer {
             feat: vec![0.0; dim],
             counts: Counts::default(),
             probe_mask: obs::probe_sample_mask(),
-            stages: None,
         }
     }
 
@@ -215,7 +213,7 @@ impl Scorer {
     pub(crate) fn push(&mut self, timestamp: i64, row: &[f64]) -> Step {
         self.counts.records += 1;
         let mut clock = (self.counts.records & self.probe_mask == 0 && obs::metrics_enabled())
-            .then(|| (self.stages.get_or_insert_with(StageClocks::new), Instant::now()));
+            .then(|| (stage_histograms(), Instant::now()));
         let kept = self.row_filter.keep(row);
         if let Some((stages, t0)) = &mut clock {
             stages.filter_ns.record(ns_since(*t0));
@@ -256,15 +254,6 @@ impl Scorer {
         }
         step
     }
-
-    /// Flushes the buffered stage durations into the shared histograms.
-    pub(crate) fn flush_obs(&mut self) {
-        if let Some(s) = &mut self.stages {
-            s.filter_ns.flush();
-            s.transform_ns.flush();
-            s.score_ns.flush();
-        }
-    }
 }
 
 /// One item of a vehicle's history in time order.
@@ -292,12 +281,11 @@ pub(crate) fn walk(frame: &Frame, maintenance: &[(i64, bool)], mut visit: impl F
 
 /// Cached metric handles for the served path: resolved once at
 /// construction so `process_record` never touches the registry mutex.
-/// Alarm latencies go through an [`obs::BatchedRecorder`] — a plain local
-/// buffer, no atomics per record — flushed into the shared histogram on
-/// drop or via [`StreamingPipeline::flush_obs`]. Score samples likewise
-/// buffer in a local [`obs::QuantileSketch`] and merge into the shared
-/// registry sketches on flush, so the hot path never takes the sketch
-/// mutex either.
+/// Alarm latencies are recorded into the shared histogram as each alarm
+/// is raised. Score samples buffer in a local [`obs::QuantileSketch`] and
+/// merge into the shared registry sketches on
+/// [`StreamingPipeline::flush_obs`] or drop, because the fleet sketch is
+/// one mutex that every shard thread shares.
 #[derive(Debug)]
 struct PipelineStats {
     records: Arc<obs::Counter>,
@@ -305,7 +293,7 @@ struct PipelineStats {
     resets: Arc<obs::Counter>,
     refits: Arc<obs::Counter>,
     alarms: Arc<obs::Counter>,
-    alarm_latency_ns: obs::BatchedRecorder,
+    alarm_latency_ns: Arc<obs::Histogram>,
     /// Fleet-wide score distribution; every pipeline merges into it.
     fleet_scores: Arc<obs::Sketch>,
     /// Per-vehicle score distribution when the pipeline is scoped.
@@ -353,7 +341,7 @@ impl PipelineStats {
             resets: obs::counter("pipeline.resets"),
             refits: obs::counter("pipeline.refits"),
             alarms: obs::counter("pipeline.alarms"),
-            alarm_latency_ns: obs::BatchedRecorder::new(obs::histogram("alarm.latency_ns")),
+            alarm_latency_ns: obs::histogram("alarm.latency_ns"),
             fleet_scores,
             scoped_scores,
             pending_scores: obs::QuantileSketch::default(),
@@ -385,17 +373,12 @@ impl PipelineStats {
         }
         self.pending_scores = obs::QuantileSketch::default();
     }
-
-    fn flush(&mut self) {
-        self.alarm_latency_ns.flush();
-        self.merge_scores();
-    }
 }
 
 impl Drop for PipelineStats {
     fn drop(&mut self) {
-        // The recorders flush themselves on drop; buffered score samples
-        // need the same courtesy or the tail of a run vanishes.
+        // Buffered score samples would otherwise vanish with the tail of
+        // a run.
         self.merge_scores();
     }
 }
@@ -479,15 +462,14 @@ impl StreamingPipeline {
         }
     }
 
-    /// Flushes the batched stage/latency recorders into the shared
-    /// histograms and buffered score samples into the shared sketches,
-    /// then refreshes the model-quality gauges (threshold headroom,
-    /// reference-profile age). Runs automatically when the pipeline drops;
-    /// call it explicitly before snapshotting metrics from a still-live
-    /// pipeline (the `monitor` loop, dashboards).
+    /// Merges buffered score samples into the shared sketches, then
+    /// refreshes the model-quality gauges (threshold headroom,
+    /// reference-profile age). The merge runs automatically when the
+    /// pipeline drops; call this before snapshotting sketches or gauges
+    /// from a still-live pipeline (the `monitor` loop, dashboards).
+    /// Histograms need no flush: their samples are recorded as taken.
     pub fn flush_obs(&mut self) {
-        self.core.flush_obs();
-        self.stats.flush();
+        self.stats.merge_scores();
         if !obs::metrics_enabled() {
             return;
         }
@@ -880,7 +862,8 @@ mod tests {
         let mut p = tiny_pipeline();
         let alarms = flip_alarms(&mut p);
         assert!(!alarms.is_empty());
-        p.flush_obs();
+        // Read from the live pipeline: no flush stands between an alarm
+        // and its latency sample.
         let after = obs::histogram("alarm.latency_ns").snapshot().count;
         assert!(
             after >= before + alarms.len() as u64,

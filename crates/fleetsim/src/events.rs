@@ -56,11 +56,6 @@ pub fn sort_events(events: &mut [Event]) {
     events.sort_by_key(|e| (e.timestamp, e.vehicle));
 }
 
-/// The recorded subset of an event stream, preserving order.
-pub fn recorded_only(events: &[Event]) -> Vec<Event> {
-    events.iter().copied().filter(|e| e.recorded).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,8 +84,5 @@ mod tests {
         sort_events(&mut evs);
         assert_eq!(evs[0].timestamp, 10);
         assert_eq!(evs[2].timestamp, 50);
-        let rec = recorded_only(&evs);
-        assert_eq!(rec.len(), 2);
-        assert!(rec.iter().all(|e| e.recorded));
     }
 }

@@ -452,13 +452,14 @@ impl VehicleData {
             .collect()
     }
 
-    /// Timestamps of recorded maintenance events (services + repairs) —
-    /// the reference-reset triggers of the paper's main policy.
-    pub fn recorded_maintenance(&self) -> Vec<i64> {
+    /// The recorded maintenance log (services and repairs) as time-sorted
+    /// `(timestamp, is_repair)` pairs: the reference-reset triggers the
+    /// pipeline sees.
+    pub fn maintenance_log(&self) -> Vec<(i64, bool)> {
         self.events
             .iter()
             .filter(|e| e.recorded && e.kind.is_maintenance())
-            .map(|e| e.timestamp)
+            .map(|e| (e.timestamp, e.kind == EventKind::Repair))
             .collect()
     }
 }
@@ -479,13 +480,6 @@ impl FleetData {
     /// Total telemetry records across the fleet.
     pub fn total_records(&self) -> usize {
         self.vehicles.iter().map(|v| v.frame.len()).sum()
-    }
-
-    /// All events of all vehicles, time-sorted.
-    pub fn all_events(&self) -> Vec<Event> {
-        let mut evs: Vec<Event> = self.vehicles.iter().flat_map(|v| v.events.clone()).collect();
-        sort_events(&mut evs);
-        evs
     }
 
     /// Vehicle indices of the paper's `setting40` (all vehicles).
@@ -617,8 +611,8 @@ mod tests {
     fn maintenance_reset_times_sorted() {
         let fleet = small_fleet();
         for vd in &fleet.vehicles {
-            let m = vd.recorded_maintenance();
-            assert!(m.windows(2).all(|w| w[0] <= w[1]));
+            let m = vd.maintenance_log();
+            assert!(m.windows(2).all(|w| w[0].0 <= w[1].0));
         }
     }
 

@@ -87,24 +87,13 @@ pub fn interleave_streams(vehicles: &[(u32, &Frame, &[(i64, bool)])]) -> Vec<Str
 /// records plus its *recorded* maintenance events — the partial-information
 /// log, exactly what a live feed would carry).
 pub fn interleave_fleet(fleet: &FleetData) -> Vec<StreamItem> {
-    let maintenance: Vec<(u32, Vec<(i64, bool)>)> = fleet
+    let logs: Vec<Vec<(i64, bool)>> =
+        fleet.vehicles.iter().map(|vd| vd.maintenance_log()).collect();
+    let refs: Vec<_> = fleet
         .vehicles
         .iter()
-        .map(|vd| {
-            let log = vd
-                .events
-                .iter()
-                .filter(|e| e.recorded && e.kind.is_maintenance())
-                .map(|e| (e.timestamp, e.kind == crate::events::EventKind::Repair))
-                .collect();
-            (vd.id.0, log)
-        })
-        .collect();
-    let refs: Vec<(u32, &Frame, &[(i64, bool)])> = fleet
-        .vehicles
-        .iter()
-        .zip(&maintenance)
-        .map(|(vd, (id, log))| (*id, &vd.frame, log.as_slice()))
+        .zip(&logs)
+        .map(|(vd, log)| (vd.id.0, &vd.frame, log.as_slice()))
         .collect();
     interleave_streams(&refs)
 }
@@ -299,11 +288,7 @@ mod tests {
         let fleet = tiny_fleet();
         let stream = interleave_fleet(&fleet);
         let n_records: usize = fleet.vehicles.iter().map(|v| v.frame.len()).sum();
-        let n_maint: usize = fleet
-            .vehicles
-            .iter()
-            .map(|v| v.events.iter().filter(|e| e.recorded && e.kind.is_maintenance()).count())
-            .sum();
+        let n_maint: usize = fleet.vehicles.iter().map(|v| v.maintenance_log().len()).sum();
         assert_eq!(stream.len(), n_records + n_maint);
         for w in stream.windows(2) {
             let ka = (w[0].timestamp, w[0].vehicle, w[0].body.rank());

@@ -147,11 +147,6 @@ impl GbdtRegressor {
         p.iter().zip(y).map(|(&a, &b)| (a - b) * (a - b)).sum::<f64>() / y.len() as f64
     }
 
-    /// Number of trees in the ensemble.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Feature dimension expected by `predict`.
     pub fn dim(&self) -> usize {
         self.dim

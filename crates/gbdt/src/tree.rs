@@ -85,11 +85,6 @@ impl Tree {
         }
     }
 
-    /// Number of nodes in the tree.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of leaves in the tree.
     pub fn n_leaves(&self) -> usize {
         self.nodes.iter().filter(|n| matches!(n, Node::Leaf { .. })).count()

@@ -15,9 +15,10 @@
 //! Each shard keeps plain `u64` stats that are always on (they cost an
 //! increment) and mirrors them into the global `ingest.*` counters when
 //! metrics are enabled, resolving the `Arc` handles once at construction
-//! — the same discipline as `PipelineStats`. Queue depth is sampled into
-//! a per-shard `ingest.shardNN.queue_depth` histogram through a
-//! `BatchedRecorder`, flushed on [`ShardedIngest::finish`].
+//! — the same discipline as `PipelineStats`. The reorder-buffer depth
+//! after each buffered record or maintenance event is recorded into a
+//! per-shard `ingest.shardNN.queue_depth` histogram as it happens, so a
+//! live scrape sees it.
 //!
 //! The live ops plane adds two always-available facets: a per-shard
 //! `ingest.shardNN.records` counter (so scrape deltas yield per-shard
@@ -65,7 +66,7 @@ impl Sequenced for Arrival {
     }
 }
 
-/// Serialises one in-flight arrival for checkpoints and migration. The
+/// Serialises one in-flight arrival for checkpoints. The
 /// arrival stamp travels too (0 when provenance was off; the layout is the
 /// same): [`AlarmProvenance`] subtracts stamps with `saturating_sub`, so a
 /// stamp from a previous process (a different monotonic epoch) degrades a
@@ -364,7 +365,7 @@ struct ShardObs {
     shard_records: std::sync::Arc<obs::Counter>,
     /// Live health state (0 = Ok, 1 = Degraded, 2 = Stalled).
     health: std::sync::Arc<obs::Gauge>,
-    queue_depth: obs::BatchedRecorder,
+    queue_depth: std::sync::Arc<obs::Histogram>,
 }
 
 impl ShardObs {
@@ -379,9 +380,7 @@ impl ShardObs {
             quality_flagged: obs::counter("ingest.quality.flagged"),
             shard_records: obs::counter(&format!("ingest.shard{shard:02}.records")),
             health: obs::gauge(&format!("ingest.shard{shard:02}.health")),
-            queue_depth: obs::BatchedRecorder::new(obs::histogram(&format!(
-                "ingest.shard{shard:02}.queue_depth"
-            ))),
+            queue_depth: obs::histogram(&format!("ingest.shard{shard:02}.queue_depth")),
         }
     }
 }
@@ -642,8 +641,7 @@ impl Shard {
     }
 
     /// Serialises one vehicle's lane (reorder buffer + pipeline) as a
-    /// self-contained frame — the unit both full checkpoints and shard
-    /// migration move around.
+    /// self-contained checkpoint frame.
     fn write_lane(lane: &Lane, w: &mut SnapWriter) {
         w.put_u32(lane.vehicle);
         w.put_frame(|w| lane.buffer.write_state_with(w, write_arrival));
@@ -758,7 +756,6 @@ impl Shard {
             self.stats.forced_releases += b.forced_releases;
             lane.pipeline.flush_obs();
         }
-        self.obs.queue_depth.flush();
     }
 }
 
@@ -865,7 +862,8 @@ impl ShardedIngest {
     }
 
     /// Ends the stream: flushes every reorder buffer through its pipeline
-    /// and flushes batched observability. Idempotent.
+    /// and merges each pipeline's buffered score samples into the shared
+    /// sketches. Idempotent.
     pub fn finish(&mut self) -> Vec<FleetAlarm> {
         let mut alarms = Vec::new();
         if !self.finished {
@@ -1002,11 +1000,9 @@ impl ShardedIngest {
 
     /// Moves one vehicle's entire state — reorder buffer with in-flight
     /// items, pipeline, quality monitor — to `to_shard`, and records a
-    /// routing override so future arrivals follow it. The state travels
-    /// through the same serialised-lane frames checkpoints use (drain →
-    /// snapshot → reroute → restore), so migration equivalence is the
-    /// checkpoint equivalence guarantee applied between shards: alarms
-    /// after the move are byte-identical to never having moved.
+    /// routing override so future arrivals follow it. The lane and quality
+    /// structs move as they are, so alarms after the move are
+    /// byte-identical to never having moved.
     ///
     /// In-flight items are *not* flushed: flushing would feed the pipeline
     /// records the watermark has not released and change its output.
@@ -1027,29 +1023,19 @@ impl ShardedIngest {
         }
         let mut moved = false;
         let mut inflight = 0u64;
+        // A vehicle's state lives only on the shard it routes to, so the
+        // target holds no lane or monitor for it yet.
         if let Ok(i) = self.shards[from].lanes.binary_search_by_key(&vehicle, |l| l.vehicle) {
             let lane = self.shards[from].lanes.remove(i);
             inflight = lane.buffer.len() as u64;
-            let mut w = SnapWriter::new();
-            Shard::write_lane(&lane, &mut w);
-            let bytes = w.into_bytes();
-            let mut r = SnapReader::new(&bytes);
-            self.shards[to_shard]
-                .read_lane(&mut r)
-                .and_then(|()| r.finish())
-                .expect("a just-written lane frame must restore");
+            let lanes = &mut self.shards[to_shard].lanes;
+            lanes.insert(lanes.partition_point(|l| l.vehicle < vehicle), lane);
             moved = true;
         }
         if let Ok(i) = self.shards[from].quality.binary_search_by_key(&vehicle, |q| q.vehicle) {
             let q = self.shards[from].quality.remove(i);
-            let mut w = SnapWriter::new();
-            Shard::write_quality(&q, &mut w);
-            let bytes = w.into_bytes();
-            let mut r = SnapReader::new(&bytes);
-            self.shards[to_shard]
-                .read_quality(&mut r)
-                .and_then(|()| r.finish())
-                .expect("a just-written quality frame must restore");
+            let quality = &mut self.shards[to_shard].quality;
+            quality.insert(quality.partition_point(|q| q.vehicle < vehicle), q);
             moved = true;
         }
         if moved {

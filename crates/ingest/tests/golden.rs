@@ -27,17 +27,7 @@ fn fleet() -> FleetData {
 /// Per-vehicle maintenance logs in `replay_stream`'s `(timestamp,
 /// is_repair)` shape.
 fn maintenance_logs(fleet: &FleetData) -> Vec<Vec<(i64, bool)>> {
-    fleet
-        .vehicles
-        .iter()
-        .map(|vd| {
-            vd.events
-                .iter()
-                .filter(|e| e.recorded && e.kind.is_maintenance())
-                .map(|e| (e.timestamp, e.kind == navarchos_fleetsim::EventKind::Repair))
-                .collect()
-        })
-        .collect()
+    fleet.vehicles.iter().map(|vd| vd.maintenance_log()).collect()
 }
 
 /// Sorted replay oracle: vehicle id → alarms.

@@ -103,11 +103,6 @@ impl LofModel {
         &self.lof
     }
 
-    /// Local reachability densities of the reference points.
-    pub fn reference_lrd(&self) -> &[f64] {
-        &self.lrd
-    }
-
     /// Scores an unseen query against the reference set.
     pub fn score(&self, query: &[f64]) -> f64 {
         let neighbors = self.index.nearest(query, self.k, None);

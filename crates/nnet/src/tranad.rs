@@ -308,45 +308,6 @@ impl TranAd {
         out
     }
 
-    /// Per-feature reconstruction errors of one normalised window: mean
-    /// squared error per feature column, averaged over the two phases —
-    /// the attribution surface the paper notes reconstruction models
-    /// normally lack.
-    fn window_feature_errors(&self, x: &Matrix) -> Vec<f64> {
-        let zeros = Matrix::zeros(x.rows(), x.cols());
-        let p1 = self.forward(x, &zeros, true);
-        // Mirrors `window_score`: NaN attributions instead of a panic.
-        let Some(d1) = p1.d1.as_ref() else {
-            return vec![f64::NAN; x.cols()];
-        };
-        let o1 = &d1.out;
-        let focus = o1.sub(x).map(|v| v * v);
-        let p2 = self.forward(x, &focus, false);
-        let e1 = o1.sub(x);
-        let e2 = p2.d2.out.sub(x);
-        (0..x.cols())
-            .map(|c| {
-                let mut s = 0.0;
-                for r in 0..x.rows() {
-                    s += 0.5 * (e1.get(r, c).powi(2) + e2.get(r, c).powi(2));
-                }
-                s / x.rows() as f64
-            })
-            .collect()
-    }
-
-    /// Per-feature reconstruction errors of an *unnormalised* window —
-    /// which features the model failed to reconstruct (extension: the
-    /// paper's TranAD reports a single score).
-    pub fn feature_errors_raw_window(&self, window: &Matrix) -> Vec<f64> {
-        assert_eq!(window.rows(), self.cfg.window, "window length mismatch");
-        assert_eq!(window.cols(), self.cfg.n_features, "feature count mismatch");
-        let x = Matrix::from_fn(self.cfg.window, self.cfg.n_features, |r, c| {
-            (window.get(r, c) - self.feat_min[c]) / self.feat_range[c]
-        });
-        self.window_feature_errors(&x)
-    }
-
     /// Scores one *unnormalised* `(window × f)` block of consecutive
     /// samples — the streaming entry point used by the detector wrapper.
     pub fn score_raw_window(&self, window: &Matrix) -> f64 {
@@ -440,24 +401,6 @@ mod tests {
         // Shorter than a window: falls back to the training mean.
         let short = model.score_series(&healthy_series(4, 0.5));
         assert_eq!(short.len(), 4);
-    }
-
-    #[test]
-    fn feature_errors_blame_the_broken_feature() {
-        let train = healthy_series(240, 0.0);
-        let model = TranAd::fit(&train, quick_cfg());
-        // A window where feature 1 decouples while 0 and 2 stay healthy.
-        let broken = Matrix::from_fn(model.config().window, 3, |r, c| {
-            let t = (240 + r) as f64 * 0.25;
-            match c {
-                0 => t.sin(),
-                1 => (2.9 * t + 1.0).sin(),
-                _ => t.cos(),
-            }
-        });
-        let errs = model.feature_errors_raw_window(&broken);
-        assert_eq!(errs.len(), 3);
-        assert!(errs[1] > errs[0] && errs[1] > errs[2], "broken feature dominates: {errs:?}");
     }
 
     #[test]

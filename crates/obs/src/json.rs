@@ -7,7 +7,6 @@
 //! `null` for them, which keeps every produced document parseable by any
 //! conforming reader.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A parsed or to-be-serialised JSON value. Objects preserve insertion
@@ -393,12 +392,6 @@ fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Par
         }
     }
     Err(err(*pos, "unterminated string"))
-}
-
-/// Convenience: an ordered object from a `BTreeMap` of numeric values
-/// (registry snapshots serialise through this).
-pub fn obj_from_counts(map: &BTreeMap<String, u64>) -> Json {
-    Json::Obj(map.iter().map(|(k, v)| (k.clone(), Json::from(*v))).collect())
 }
 
 #[cfg(test)]

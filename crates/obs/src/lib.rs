@@ -59,8 +59,7 @@ pub use flame::{fold_spans, fold_trace, render_folded, SpanClose};
 pub use json::Json;
 pub use manifest::{stage_clock, Manifest, StageClock};
 pub use metrics::{
-    counter, gauge, histogram, probe_sample_mask, sketch, BatchedRecorder, Counter, Gauge,
-    Histogram,
+    counter, gauge, histogram, probe_sample_mask, sketch, Counter, Gauge, Histogram,
 };
 pub use sink::{NdjsonSink, NullSink, Sink, StderrSink};
 pub use sketch::{rank_error_bound, QuantileSketch, Sketch};

@@ -29,8 +29,8 @@ pub const BUCKETS: usize = 496;
 const SHARDS: usize = 16;
 
 /// Probe sampling shift for per-record hot-path timing: instrumented loops
-/// clock only every `2^shift`-th record and scale the accumulated sums back
-/// up at flush time. 6 (1 in 64) cuts the metrics-on fleet-scoring
+/// clock only every `2^shift`-th record, so a sampled sum scales back up
+/// by `2^shift`. 6 (1 in 64) cuts the metrics-on fleet-scoring
 /// overhead from ~30 % to a few percent while leaving the per-vehicle
 /// stage estimates within sampling noise (each vehicle still contributes
 /// hundreds of clocked records).
@@ -179,30 +179,6 @@ impl Histogram {
         }
     }
 
-    /// Folds a pre-aggregated batch of samples into this thread's shard in
-    /// one pass: `counts` is a per-bucket count array (indexed by
-    /// [`bucket_index`], longer inputs ignored), `sum`/`min`/`max` summarise
-    /// the same samples. The [`BatchedRecorder`] flush path — equivalent to
-    /// calling [`Histogram::record`] once per sample, but with one atomic
-    /// op per *touched bucket* instead of four per sample.
-    pub fn merge_counts(&self, counts: &[u64], sum: u64, min: u64, max: u64) {
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return;
-        }
-        let s = MY_SHARD.with(|&s| s);
-        if let Some(shard) = self.shards.get(s) {
-            for (slot, &c) in shard.counts.iter().zip(counts) {
-                if c > 0 {
-                    slot.fetch_add(c, Ordering::Relaxed);
-                }
-            }
-            shard.sum.fetch_add(sum, Ordering::Relaxed);
-            shard.min.fetch_min(min, Ordering::Relaxed);
-            shard.max.fetch_max(max, Ordering::Relaxed);
-        }
-    }
-
     /// Merges all shards into one consistent-enough snapshot (concurrent
     /// recorders may be mid-flight; each shard is read once).
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -226,75 +202,6 @@ impl Histogram {
             snap.merge(&shard_snap);
         }
         snap
-    }
-}
-
-/// A task-local histogram accumulator: [`record`](BatchedRecorder::record)
-/// bumps plain (non-atomic) locals, and [`flush`](BatchedRecorder::flush)
-/// folds the whole batch into the shared [`Histogram`] via
-/// [`Histogram::merge_counts`]. Hot loops that record per item — `par_map`
-/// task timing, the streaming pipeline's per-record stage probes — hold one
-/// recorder per task/worker so the shared shards see one atomic pass per
-/// flush instead of four atomic ops per sample. Dropping the recorder
-/// flushes whatever is pending.
-#[derive(Debug)]
-pub struct BatchedRecorder {
-    target: Arc<Histogram>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl BatchedRecorder {
-    /// A recorder that flushes into `target`.
-    pub fn new(target: Arc<Histogram>) -> BatchedRecorder {
-        BatchedRecorder {
-            target,
-            counts: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one sample locally (no atomics).
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        if let Some(slot) = self.counts.get_mut(bucket_index(v)) {
-            *slot += 1;
-        }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Samples recorded since the last flush.
-    pub fn pending(&self) -> u64 {
-        self.count
-    }
-
-    /// Folds the pending batch into the shared histogram and resets the
-    /// locals. A no-op when nothing is pending.
-    pub fn flush(&mut self) {
-        if self.count == 0 {
-            return;
-        }
-        self.target.merge_counts(&self.counts, self.sum, self.min, self.max);
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
-}
-
-impl Drop for BatchedRecorder {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -518,36 +425,6 @@ mod tests {
     #[test]
     fn quantile_of_empty_is_zero() {
         assert_eq!(HistogramSnapshot::empty().quantile(0.99), 0);
-    }
-
-    #[test]
-    fn batched_recorder_matches_direct_recording() {
-        let direct = Histogram::new();
-        let shared = Arc::new(Histogram::new());
-        let mut batched = BatchedRecorder::new(Arc::clone(&shared));
-        for v in [0u64, 1, 15, 16, 17, 1000, 123_456_789] {
-            direct.record(v);
-            batched.record(v);
-        }
-        assert_eq!(batched.pending(), 7);
-        batched.flush();
-        assert_eq!(batched.pending(), 0);
-        assert_eq!(shared.snapshot(), direct.snapshot());
-        // Flushing again adds nothing.
-        batched.flush();
-        assert_eq!(shared.snapshot(), direct.snapshot());
-    }
-
-    #[test]
-    fn batched_recorder_flushes_on_drop() {
-        let shared = Arc::new(Histogram::new());
-        {
-            let mut batched = BatchedRecorder::new(Arc::clone(&shared));
-            batched.record(42);
-        }
-        let snap = shared.snapshot();
-        assert_eq!(snap.count, 1);
-        assert_eq!(snap.sum, 42);
     }
 
     #[test]

@@ -268,11 +268,11 @@ pub fn rank_error_bound(n: u64, k: usize) -> f64 {
 }
 
 /// The registry-resident, thread-safe sketch: a [`QuantileSketch`] behind
-/// a `Mutex`. Recording locks — sketch call sites are per-emission or
-/// per-flush, not per-record, so the lock is uncontended in practice;
-/// hot loops accumulate into a local [`QuantileSketch`] and
-/// [`Sketch::merge_from`] it at flush time, the same discipline as
-/// [`crate::metrics::BatchedRecorder`].
+/// a `Mutex`. Recording locks, and one fleet sketch is shared by every
+/// shard thread, so hot loops accumulate into a local [`QuantileSketch`]
+/// and [`Sketch::merge_from`] it at flush time. This is where the sketch
+/// differs from a [`crate::Histogram`], whose sharded atomics take every
+/// sample where it happens.
 #[derive(Debug, Default)]
 pub struct Sketch {
     inner: Mutex<QuantileSketch>,

@@ -203,11 +203,6 @@ impl SnapshotRing {
         Some((Arc::clone(&ring[n - 2]), Arc::clone(&ring[n - 1])))
     }
 
-    /// The delta between the two most recent snapshots, once warm.
-    pub fn latest_delta(&self) -> Option<SnapshotDelta> {
-        self.latest_pair().map(|(older, newer)| delta(&older, &newer))
-    }
-
     /// The newest held snapshot stamped at or before `t_ns`, falling back
     /// to the oldest held one — burn-rate windows degrade gracefully to
     /// the span the ring actually covers while it warms up.
@@ -356,7 +351,7 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_ordered() {
         let ring = SnapshotRing::new(3);
-        assert!(ring.latest_delta().is_none());
+        assert!(ring.latest_pair().is_none());
         for t in 0..10u64 {
             ring.push(snap_at(t, &[("x", t * 2)]));
         }
@@ -364,7 +359,7 @@ mod tests {
         assert_eq!(ring.latest().expect("non-empty").t_ns, 9);
         let (older, newer) = ring.latest_pair().expect("two snapshots");
         assert_eq!((older.t_ns, newer.t_ns), (8, 9));
-        assert_eq!(ring.latest_delta().expect("delta").counter_delta("x"), 2);
+        assert_eq!(delta(&older, &newer).counter_delta("x"), 2);
     }
 
     #[test]

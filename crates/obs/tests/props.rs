@@ -10,7 +10,7 @@ use navarchos_obs::event::{encode_ndjson, parse_line, Event};
 use navarchos_obs::flame::{fold_spans, fold_trace, parse_folded_line, render_folded, SpanClose};
 use navarchos_obs::json::Json;
 use navarchos_obs::metrics::{
-    bucket_index, bucket_lower_bound, BatchedRecorder, Histogram, HistogramSnapshot, BUCKETS,
+    bucket_index, bucket_lower_bound, Histogram, HistogramSnapshot, BUCKETS,
 };
 use navarchos_obs::span::{current_depth, current_span_id, span};
 use proptest::prelude::*;
@@ -122,37 +122,6 @@ proptest! {
         let back = parse_line(&line);
         prop_assert!(back.is_ok(), "{line:?} -> {back:?}");
         prop_assert_eq!(back.unwrap_or_else(|_| Event::new("unreachable")), e);
-    }
-}
-
-// ---- batched recording vs direct recording ------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// A `BatchedRecorder` funnelling into a target histogram produces a
-    /// snapshot identical to recording every value directly, regardless of
-    /// how flushes interleave with records (the `Drop` flush covers the
-    /// tail).
-    #[test]
-    fn batched_recorder_matches_direct_recording(
-        xs in prop::collection::vec(0u64..1_000_000_000, 0..200),
-        flush_every in 1usize..17,
-    ) {
-        let direct = Histogram::new();
-        let target = Arc::new(Histogram::new());
-        {
-            let mut rec = BatchedRecorder::new(Arc::clone(&target));
-            for (i, &x) in xs.iter().enumerate() {
-                direct.record(x);
-                rec.record(x);
-                if (i + 1) % flush_every == 0 {
-                    rec.flush();
-                    prop_assert_eq!(rec.pending(), 0);
-                }
-            }
-        } // dropping the recorder flushes whatever is still pending
-        prop_assert_eq!(target.snapshot(), direct.snapshot());
     }
 }
 

@@ -97,17 +97,6 @@ pub fn daily_aggregate(
     out
 }
 
-/// Flattens aggregates into a row-major matrix of feature vectors
-/// (`2 × width` features per row), ready for the clustering substrate.
-pub fn aggregate_matrix(aggs: &[DailyAggregate]) -> (Vec<f64>, usize) {
-    let dim = aggs.first().map(|a| a.means.len() * 2).unwrap_or(0);
-    let mut buf = Vec::with_capacity(aggs.len() * dim);
-    for a in aggs {
-        buf.extend(a.feature_vector());
-    }
-    (buf, dim)
-}
-
 /// Z-normalises each column of a row-major matrix in place (mean 0, std 1;
 /// constant columns become 0). Clustering Euclidean distances are otherwise
 /// dominated by the large-magnitude signals (rpm vs. correlations).
@@ -193,8 +182,8 @@ mod tests {
     #[test]
     fn matrix_and_normalization() {
         let aggs = daily_aggregate(&two_day_frame(), SECONDS_PER_DAY, 1);
-        let (mut buf, dim) = aggregate_matrix(&aggs);
-        assert_eq!(dim, 4);
+        let mut buf: Vec<f64> = aggs.iter().flat_map(|a| a.feature_vector()).collect();
+        let dim = 4;
         assert_eq!(buf.len(), 8);
         znormalize_columns(&mut buf, dim);
         // Each column now has mean 0.
@@ -208,8 +197,5 @@ mod tests {
     fn empty_frame_yields_nothing() {
         let f = Frame::new(&["a"]);
         assert!(daily_aggregate(&f, SECONDS_PER_DAY, 1).is_empty());
-        let (buf, dim) = aggregate_matrix(&[]);
-        assert!(buf.is_empty());
-        assert_eq!(dim, 0);
     }
 }

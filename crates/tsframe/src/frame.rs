@@ -124,12 +124,6 @@ impl Frame {
         out.extend(self.columns.iter().map(|c| c[i]));
     }
 
-    /// Iterates `(timestamp, row)` pairs. Rows are materialised per step;
-    /// use [`Frame::row_into`] in hot loops instead.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (i64, Vec<f64>)> + '_ {
-        (0..self.len()).map(move |i| (self.timestamps[i], self.row(i)))
-    }
-
     /// New frame keeping only rows where `mask` is true.
     ///
     /// # Panics
@@ -181,21 +175,6 @@ impl Frame {
             }
         }
         out
-    }
-
-    /// Appends all rows of `other` (same schema, non-decreasing time).
-    pub fn extend_frame(&mut self, other: &Frame) {
-        assert_eq!(self.names, other.names, "schema mismatch");
-        if other.is_empty() {
-            return;
-        }
-        if let (Some(&last), Some(&first)) = (self.timestamps.last(), other.timestamps.first()) {
-            assert!(first >= last, "appended frame starts before current end");
-        }
-        self.timestamps.extend_from_slice(&other.timestamps);
-        for (dst, src) in self.columns.iter_mut().zip(&other.columns) {
-            dst.extend_from_slice(src);
-        }
     }
 }
 
@@ -277,25 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_frame_appends() {
-        let mut f = sample_frame();
-        let mut g = Frame::new(&["a", "b"]);
-        g.push_row(40, &[4.0, 40.0]);
-        f.extend_frame(&g);
-        assert_eq!(f.len(), 4);
-        assert_eq!(f.column(0), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn extend_frame_rejects_time_overlap() {
-        let mut f = sample_frame();
-        let mut g = Frame::new(&["a", "b"]);
-        g.push_row(5, &[0.0, 0.0]);
-        f.extend_frame(&g);
-    }
-
-    #[test]
     fn split_by_gap_partitions_rides() {
         let mut f = Frame::new(&["v"]);
         for t in [0, 60, 120, 4000, 4060, 9000] {
@@ -309,13 +269,5 @@ mod tests {
         assert_eq!(rides.iter().map(Frame::len).sum::<usize>(), f.len());
         assert_eq!(rides[1].timestamps(), &[4000, 4060]);
         assert!(Frame::new(&["v"]).split_by_gap(60).is_empty());
-    }
-
-    #[test]
-    fn iter_rows_yields_all() {
-        let f = sample_frame();
-        let rows: Vec<_> = f.iter_rows().collect();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0], (10, vec![1.0, 10.0]));
     }
 }

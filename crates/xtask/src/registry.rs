@@ -73,12 +73,6 @@ const KERNELS: &[(&str, &str, &str, &str)] = &[
         "crates/bench/benches/substrates.rs",
     ),
     (
-        "BatchedRecorder",
-        "crates/obs/src/metrics.rs",
-        "crates/obs/tests/props.rs",
-        "crates/bench/benches/substrates.rs",
-    ),
-    (
         "read_csv",
         "crates/tsframe/src/csv.rs",
         "crates/tsframe/tests/props.rs",

@@ -47,7 +47,7 @@ fn workspace_analyzes_clean_with_checked_in_waivers() {
     );
     // The relaxed-RMW metric sites are waiver-only debt; if this drops to
     // zero the waiver file and this floor should shrink together.
-    assert!(report.waived >= 10, "expected the waived RMW sites, saw {}", report.waived);
+    assert!(report.waived >= 8, "expected the waived RMW sites, saw {}", report.waived);
     assert!(report.files_scanned > 50, "walker saw only {} files", report.files_scanned);
 }
 

@@ -14,7 +14,7 @@ use navarchos_core::evaluation::{
 };
 use navarchos_core::runner::{run_vehicle, RunnerParams};
 use navarchos_core::TransformKind;
-use navarchos_fleetsim::{EventKind, FleetConfig};
+use navarchos_fleetsim::FleetConfig;
 use std::time::Instant;
 
 fn main() {
@@ -47,15 +47,7 @@ fn main() {
         let traces: Vec<_> = fleet
             .vehicles
             .iter()
-            .map(|vd| {
-                let maintenance: Vec<(i64, bool)> = vd
-                    .events
-                    .iter()
-                    .filter(|e| e.recorded && e.kind.is_maintenance())
-                    .map(|e| (e.timestamp, e.kind == EventKind::Repair))
-                    .collect();
-                run_vehicle(&vd.frame, &maintenance, &params)
-            })
+            .map(|vd| run_vehicle(&vd.frame, &vd.maintenance_log(), &params))
             .collect();
         let elapsed = started.elapsed();
 

@@ -12,7 +12,7 @@ use navarchos_core::detectors::DetectorKind;
 use navarchos_core::evaluation::{evaluate_vehicle_instances, factor_grid, EvalCounts, EvalParams};
 use navarchos_core::runner::{run_vehicle, RunnerParams};
 use navarchos_core::TransformKind;
-use navarchos_fleetsim::{EventKind, FleetConfig, START_EPOCH};
+use navarchos_fleetsim::{FleetConfig, START_EPOCH};
 
 fn main() {
     let mut cfg = FleetConfig::navarchos();
@@ -40,15 +40,7 @@ fn main() {
     let traces: Vec<_> = fleet
         .vehicles
         .iter()
-        .map(|vd| {
-            let maintenance: Vec<(i64, bool)> = vd
-                .events
-                .iter()
-                .filter(|e| e.recorded && e.kind.is_maintenance())
-                .map(|e| (e.timestamp, e.kind == EventKind::Repair))
-                .collect();
-            run_vehicle(&vd.frame, &maintenance, &params)
-        })
+        .map(|vd| run_vehicle(&vd.frame, &vd.maintenance_log(), &params))
         .collect();
 
     println!("\nthreshold-factor sweep (PH = 30 days):");

@@ -4,7 +4,7 @@ use navarchos_core::detectors::DetectorKind;
 use navarchos_core::evaluation::{evaluate_vehicle_instances, factor_grid, EvalCounts, EvalParams};
 use navarchos_core::runner::{run_vehicle, RunnerParams, VehicleScores};
 use navarchos_core::TransformKind;
-use navarchos_fleetsim::{EventKind, FleetConfig, FleetData};
+use navarchos_fleetsim::{FleetConfig, FleetData};
 
 fn demo_fleet() -> FleetData {
     // The paper's full fleet: results below mirror Tables 2/3 of
@@ -13,19 +13,7 @@ fn demo_fleet() -> FleetData {
 }
 
 fn score_fleet(fleet: &FleetData, params: &RunnerParams) -> Vec<VehicleScores> {
-    fleet
-        .vehicles
-        .iter()
-        .map(|vd| {
-            let maintenance: Vec<(i64, bool)> = vd
-                .events
-                .iter()
-                .filter(|e| e.recorded && e.kind.is_maintenance())
-                .map(|e| (e.timestamp, e.kind == EventKind::Repair))
-                .collect();
-            run_vehicle(&vd.frame, &maintenance, params)
-        })
-        .collect()
+    fleet.vehicles.iter().map(|vd| run_vehicle(&vd.frame, &vd.maintenance_log(), params)).collect()
 }
 
 fn best_f05(fleet: &FleetData, traces: &[VehicleScores]) -> (f64, EvalCounts) {

@@ -1,21 +1,21 @@
-//! The streaming pipeline (Algorithm 1) and the batch runner must agree:
-//! same transform, same reference construction, same detector, same
-//! thresholds ⇒ same per-sample violations.
+//! The served pipeline (Algorithm 1) and the batch runner drive one
+//! scoring core, so both tune their thresholds on the same holdout scores,
+//! pushed in the same order. The one difference is the batch runner's std
+//! floors (the reference-spread floor on each channel's std). Without them
+//! the two paths must raise exactly the same `(timestamp, channel)` alarms.
+//! With them a threshold can only rise, so the batch alarms are a subset of
+//! the served ones.
+
+use std::collections::BTreeSet;
 
 use navarchos_core::detectors::{DetectorKind, DetectorParams};
 use navarchos_core::runner::{run_vehicle, RunnerParams};
-use navarchos_core::{PipelineConfig, ResetPolicy, StreamingPipeline, TransformKind};
-use navarchos_fleetsim::{EventKind, FleetConfig};
+use navarchos_core::{replay_stream, PipelineConfig, ResetPolicy, TransformKind};
+use navarchos_fleetsim::FleetConfig;
 use navarchos_tsframe::FilterSpec;
 
-#[test]
-fn streaming_pipeline_matches_batch_runner() {
-    let fleet = FleetConfig::small(3).generate();
-    let vd = &fleet.vehicles[0];
-    let factor = 6.0;
-
-    // One configuration for both paths.
-    let cfg = PipelineConfig {
+fn config(factor: f64) -> PipelineConfig {
+    PipelineConfig {
         transform: TransformKind::Correlation,
         window: 45,
         stride: 3,
@@ -27,50 +27,51 @@ fn streaming_pipeline_matches_batch_runner() {
         constant_threshold: 0.5,
         reset_policy: ResetPolicy::OnServiceOrRepair,
         filter: FilterSpec::navarchos_default(),
-    };
-    // Batch runner without daily aggregation (per-sample scores).
-    let params = RunnerParams { pipeline: cfg.clone(), daily_median: false, holdout_days: 10 };
-    let maintenance: Vec<(i64, bool)> = vd
-        .events
-        .iter()
-        .filter(|e| e.recorded && e.kind.is_maintenance())
-        .map(|e| (e.timestamp, e.kind == EventKind::Repair))
-        .collect();
-    let vs = run_vehicle(&vd.frame, &maintenance, &params);
-    let batch_alarms: Vec<i64> = vs.alarms(factor);
+    }
+}
 
-    // Streaming pipeline with the same configuration.
-    let mut pipeline = StreamingPipeline::new(vd.frame.names(), cfg);
-    let mut events = maintenance.iter().peekable();
-    let mut stream_alarms: Vec<i64> = Vec::new();
-    let mut row = Vec::new();
-    for i in 0..vd.frame.len() {
-        let t = vd.frame.timestamps()[i];
-        while let Some(&&(mt, is_repair)) = events.peek() {
-            if mt > t {
-                break;
-            }
-            pipeline.process_event(is_repair);
-            events.next();
+#[test]
+fn streaming_pipeline_matches_batch_runner() {
+    let fleet = FleetConfig::small(3).generate();
+    let mut scoring = 0;
+    let mut alarming = 0;
+    for vd in &fleet.vehicles {
+        let log = vd.maintenance_log();
+        // The runner ignores the factor and scores once for every factor;
+        // without daily aggregation it keeps one score per transformed
+        // sample, as the served pipeline does.
+        let params = RunnerParams { pipeline: config(2.0), daily_median: false, holdout_days: 0 };
+        let with_floors = run_vehicle(&vd.frame, &log, &params);
+        let mut no_floors = with_floors.clone();
+        for ctx in &mut no_floors.contexts {
+            ctx.std_floors.clear();
         }
-        vd.frame.row_into(i, &mut row);
-        for a in pipeline.process_record(t, &row) {
-            stream_alarms.push(a.timestamp);
+        if !with_floors.segments.is_empty() {
+            scoring += 1;
+        }
+        for factor in [2.0, 6.0] {
+            let served: Vec<(i64, usize)> = replay_stream(&vd.frame, &log, config(factor))
+                .iter()
+                .map(|a| (a.timestamp, a.channel))
+                .collect();
+            assert_eq!(
+                served,
+                no_floors.attributed_alarms(factor),
+                "vehicle {} at factor {factor}: served and batch alarms differ",
+                vd.id.0
+            );
+            let served: BTreeSet<(i64, usize)> = served.into_iter().collect();
+            let floored = with_floors.attributed_alarms(factor);
+            assert!(
+                floored.iter().all(|a| served.contains(a)),
+                "vehicle {} at factor {factor}: a floor lowered a threshold",
+                vd.id.0
+            );
+            if !served.is_empty() {
+                alarming += 1;
+            }
         }
     }
-    stream_alarms.dedup();
-    let mut batch_dedup = batch_alarms.clone();
-    batch_dedup.dedup();
-
-    // Both paths must fire on the same set of sample timestamps. The
-    // streaming pipeline uses streaming Welford statistics while the batch
-    // path recomputes from stored scores, so tiny borderline differences
-    // are tolerated (≤ 2 % of alarms).
-    let diff = stream_alarms.iter().filter(|t| !batch_dedup.contains(t)).count()
-        + batch_dedup.iter().filter(|t| !stream_alarms.contains(t)).count();
-    let total = stream_alarms.len().max(batch_dedup.len()).max(1);
-    assert!(
-        diff as f64 / total as f64 <= 0.02,
-        "paths disagree on {diff}/{total} alarms\nstream: {stream_alarms:?}\nbatch: {batch_dedup:?}"
-    );
+    assert!(scoring > 0, "no vehicle filled a reference");
+    assert!(alarming > 0, "no vehicle alarmed");
 }
