@@ -17,15 +17,16 @@
 //!
 //! navarchos resample --telemetry FILE --out FILE [--period SECONDS]
 //!     Put irregular CSV telemetry on a regular time grid (gap-aware:
-//!     parking time is never interpolated across).
+//!     gaps over 6 h are parking time and never interpolated across).
 //!
 //! navarchos serve-replay [--dir DIR | --vehicles N --days N --seed N] [--shards N]
 //!     Interleave a fleet's telemetry into one arrival-ordered stream and
 //!     serve it through the sharded ingest engine (per-vehicle reorder
-//!     buffers, duplicate drop, dead-letter sink). `--dirty SEED` salts
-//!     the stream with within-horizon reordering and duplicates first;
-//!     `--verify` replays each vehicle sorted and exits nonzero unless the
-//!     engine's alarms are identical.
+//!     buffers with a 30-minute lateness horizon, duplicate drop,
+//!     dead-letter sink). `--dirty SEED` salts the stream with
+//!     within-horizon reordering and duplicates first; `--verify` replays
+//!     each vehicle sorted and exits nonzero unless the engine's alarms
+//!     are identical.
 //!
 //! navarchos check-manifest --path FILE [--slo-p99-ms N]
 //!     Validate a run manifest against the navarchos-run-manifest/v2
@@ -51,7 +52,8 @@
 //! Prometheus-text scrape endpoint serving the latest snapshot.
 
 use navarchos_core::detectors::DetectorKind;
-use navarchos_core::evaluation::{evaluate_vehicle_instances, factor_grid, EvalCounts, EvalParams};
+use navarchos_core::evaluation::{best_of, factor_grid, sweep, EvalParams};
+use navarchos_core::pipeline::{walk, Walked};
 use navarchos_core::runner::{run_vehicle, RunnerParams};
 use navarchos_core::AlarmAggregator;
 use navarchos_core::{PipelineConfig, StreamingPipeline, TransformKind};
@@ -119,10 +121,9 @@ USAGE:
   navarchos evaluate --dir DIR [--ph DAYS] [--metrics] [--manifest FILE] [--trace]
                      [--metrics-addr HOST:PORT [--snapshot-ms N]]
   navarchos explore  --dir DIR [--clusters K] [--metrics] [--manifest FILE]
-  navarchos resample --telemetry FILE --out FILE [--period SECONDS] [--max-gap SECONDS] [--method linear|previous]
-  navarchos serve-replay [--dir DIR | --vehicles N --days N --seed N] [--shards N] [--horizon-s S]
-                         [--dirty SEED [--reorder-prob F] [--dup-prob F] [--drop-prob F] [--corrupt-prob F]]
-                         [--corrupt-vehicle N [--corrupt-after FRAC] [--corrupt-mode nan|bias] [--corrupt-bias F]]
+  navarchos resample --telemetry FILE --out FILE [--period SECONDS] [--method linear|previous]
+  navarchos serve-replay [--dir DIR | --vehicles N --days N --seed N] [--shards N] [--dirty SEED]
+                         [--corrupt-vehicle N [--corrupt-after FRAC] [--corrupt-mode nan|bias]]
                          [--verify] [--metrics] [--manifest FILE] [--batch-size N] [--journal FILE]
                          [--checkpoint-every N [--checkpoint FILE]] [--restore FILE]
                          [--metrics-addr HOST:PORT [--snapshot-ms N] [--hold-s N]]
@@ -159,7 +160,7 @@ OBSERVABILITY:
   --corrupt-vehicle N  serve-replay: corrupt vehicle N's records from
                     --corrupt-after (fraction of the stream, default 0.5)
                     onward — NaN bursts by default, a finite additive shift
-                    with --corrupt-mode bias [--corrupt-bias F]; drives the
+                    of 1000 with --corrupt-mode bias; drives the
                     ingest.quality.* monitors and the alert.* burn rates
                     (with --metrics/--metrics-addr, burn-rate alerts are
                     evaluated at each batch boundary and exported)";
@@ -302,29 +303,24 @@ fn cmd_monitor(flags: &BTreeMap<String, String>) -> Result<(), String> {
     cfg.threshold_factor = factor;
     let mut pipeline = StreamingPipeline::new(frame.names(), cfg);
 
-    let mut events = maintenance.iter().peekable();
     let mut aggregator =
         AlarmAggregator::new(&EvalParams::days(30), pipeline.channel_names().len());
-    let mut row = Vec::new();
     let mut alarms = 0usize;
     let mut instances = 0usize;
     // Day offsets are relative to the vehicle's first record, matching the
     // per-day framing of the evaluation protocol and the fleet simulator.
     let t0 = frame.timestamps().first().copied().unwrap_or(0);
-    for i in 0..frame.len() {
-        let t = frame.timestamps()[i];
-        while let Some(&&(mt, is_repair)) = events.peek() {
-            if mt > t {
-                break;
-            }
+    walk(&frame, &maintenance, |item| match item {
+        Walked::Event(_, is_repair) => {
             pipeline.process_event(is_repair);
             aggregator.reset();
-            events.next();
         }
-        frame.row_into(i, &mut row);
-        for alarm in pipeline.process_record(t, &row) {
-            alarms += 1;
-            if let Some(instance) = aggregator.push(alarm.timestamp, alarm.channel) {
+        Walked::Record(t, row) => {
+            for alarm in pipeline.process_record(t, row) {
+                alarms += 1;
+                let Some(instance) = aggregator.push(alarm.timestamp, alarm.channel) else {
+                    continue;
+                };
                 instances += 1;
                 // Attribute the violating channels by name (the same
                 // attribution the structured `pipeline.alarm` events carry),
@@ -332,7 +328,7 @@ fn cmd_monitor(flags: &BTreeMap<String, String>) -> Result<(), String> {
                 let names: Vec<&str> = instance
                     .channels
                     .iter()
-                    .map(|&c| pipeline.channel_names().get(c).map(String::as_str).unwrap_or("?"))
+                    .map(|&c| pipeline.channel_names()[c].as_str())
                     .collect();
                 println!(
                     "day {:6.2} (t={}) OPERATOR ALARM: {} violations on {} features: {}",
@@ -344,7 +340,7 @@ fn cmd_monitor(flags: &BTreeMap<String, String>) -> Result<(), String> {
                 );
             }
         }
-    }
+    });
     println!(
         "{alarms} raw violations → {instances} operator alarms; final pipeline state: {}",
         pipeline.phase_name()
@@ -412,13 +408,10 @@ fn cmd_evaluate(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
     let clock = obs::stage_clock();
     println!("threshold-factor sweep (PH = {ph} days):");
-    let mut best: Option<(f64, EvalCounts)> = None;
-    for factor in factor_grid() {
-        let mut counts = EvalCounts::default();
-        for (vs, repairs) in traces.iter().zip(&repairs_per_vehicle) {
-            let instances = vs.alarm_instances(factor, &eval);
-            counts.merge(&evaluate_vehicle_instances(&instances, repairs, eval));
-        }
+    let grid = factor_grid();
+    let trace_refs: Vec<_> = traces.iter().collect();
+    let swept = sweep(&trace_refs, &repairs_per_vehicle, &grid, eval);
+    for (factor, counts) in grid.iter().zip(&swept) {
         println!(
             "  factor {factor:6.2}: tp {:2}  fp {:3}  fn {:2}  precision {:.2}  recall {:.2}  F0.5 {:.2}",
             counts.tp,
@@ -428,49 +421,43 @@ fn cmd_evaluate(flags: &BTreeMap<String, String>) -> Result<(), String> {
             counts.recall(),
             counts.f05()
         );
-        if best.as_ref().map(|(_, b)| counts.f05() > b.f05()).unwrap_or(true) {
-            best = Some((factor, counts));
-        }
     }
     if let Some(m) = manifest.as_mut() {
         m.end_stage("factor_sweep", clock);
     }
-    if let Some((factor, counts)) = best {
-        println!(
-            "\nbest: factor {factor} → F0.5 {:.2} (precision {:.2}, recall {:.2})",
-            counts.f05(),
-            counts.precision(),
-            counts.recall()
-        );
-        if let Some(m) = manifest.as_mut() {
-            m.metric("best_factor", factor);
-            m.metric("tp", counts.tp);
-            m.metric("fp", counts.fp);
-            m.metric("fn", counts.fn_);
-            m.metric("precision", counts.precision());
-            m.metric("recall", counts.recall());
-            m.metric("f05", counts.f05());
-        }
-        // Alarm-latency measurement pass: replay the fleet through the
-        // streaming pipeline at the chosen factor so the manifest reports
-        // `alarm.latency_ns` (arrival-to-emission wall clock per alarm) —
-        // the batch scorer above never raises runtime alarms.
-        if let Some(m) = manifest.as_mut() {
-            let clock = obs::stage_clock();
-            let mut cfg = PipelineConfig::paper_default(
-                TransformKind::Correlation,
-                DetectorKind::ClosestPair,
-            );
-            cfg.threshold_factor = factor;
-            let replay_alarms: usize = frames
-                .iter()
-                .map(|(frame, maintenance)| {
-                    navarchos_core::replay_stream(frame, maintenance, cfg.clone()).len()
-                })
-                .sum();
-            m.end_stage("alarm_replay", clock);
-            m.metric("replay_alarms", replay_alarms);
-        }
+    let (factor, counts) = best_of(&grid, &swept);
+    println!(
+        "\nbest: factor {factor} → F0.5 {:.2} (precision {:.2}, recall {:.2})",
+        counts.f05(),
+        counts.precision(),
+        counts.recall()
+    );
+    if let Some(m) = manifest.as_mut() {
+        m.metric("best_factor", factor);
+        m.metric("tp", counts.tp);
+        m.metric("fp", counts.fp);
+        m.metric("fn", counts.fn_);
+        m.metric("precision", counts.precision());
+        m.metric("recall", counts.recall());
+        m.metric("f05", counts.f05());
+    }
+    // Alarm-latency measurement pass: replay the fleet through the
+    // streaming pipeline at the chosen factor so the manifest reports
+    // `alarm.latency_ns` (arrival-to-emission wall clock per alarm) —
+    // the batch scorer above never raises runtime alarms.
+    if let Some(m) = manifest.as_mut() {
+        let clock = obs::stage_clock();
+        let mut cfg =
+            PipelineConfig::paper_default(TransformKind::Correlation, DetectorKind::ClosestPair);
+        cfg.threshold_factor = factor;
+        let replay_alarms: usize = frames
+            .iter()
+            .map(|(frame, maintenance)| {
+                navarchos_core::replay_stream(frame, maintenance, cfg.clone()).len()
+            })
+            .sum();
+        m.end_stage("alarm_replay", clock);
+        m.metric("replay_alarms", replay_alarms);
     }
     if let Some(m) = manifest {
         m.write(&manifest_path)
@@ -663,11 +650,7 @@ fn cmd_serve_replay(flags: &BTreeMap<String, String>) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
     }
-    let mut cfg = IngestConfig::paper_default(shards);
-    cfg.horizon_s = get_num(flags, "horizon-s", cfg.horizon_s)?;
-    if cfg.horizon_s < 0 {
-        return Err("--horizon-s must be non-negative".to_string());
-    }
+    let cfg = IngestConfig::paper_default(shards);
 
     let mut manifest = flags.contains_key("metrics").then(|| obs::Manifest::new("serve-replay"));
     let manifest_path: PathBuf =
@@ -694,15 +677,12 @@ fn cmd_serve_replay(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let mut dirt: Option<navarchos_fleetsim::DirtyConfig> = None;
     if let Some(seed) = flags.get("dirty") {
         let seed: u64 = seed.parse().map_err(|e| format!("--dirty: {e}"))?;
-        let mut d = navarchos_fleetsim::DirtyConfig::reorder_and_dup(seed);
-        // Keep the dirt inside the engine's tolerance unless overridden:
-        // equivalence is only promised for delays strictly under the horizon.
-        d.reorder_horizon_s = cfg.horizon_s.max(1);
-        d.reorder_prob = get_num(flags, "reorder-prob", d.reorder_prob)?;
-        d.dup_prob = get_num(flags, "dup-prob", d.dup_prob)?;
-        d.drop_prob = get_num(flags, "drop-prob", d.drop_prob)?;
-        d.corrupt_prob = get_num(flags, "corrupt-prob", d.corrupt_prob)?;
-        lossy = d.drop_prob > 0.0 || d.corrupt_prob > 0.0;
+        // Lossless dirt inside the engine's tolerance: equivalence is only
+        // promised for delays strictly under the lateness horizon.
+        let d = navarchos_fleetsim::DirtyConfig {
+            reorder_horizon_s: cfg.horizon_s,
+            ..navarchos_fleetsim::DirtyConfig::reorder_and_dup(seed)
+        };
         if let Some(m) = manifest.as_mut() {
             m.config("dirty_seed", seed);
             m.config("reorder_prob", d.reorder_prob);
@@ -715,8 +695,8 @@ fn cmd_serve_replay(flags: &BTreeMap<String, String>) -> Result<(), String> {
     // `--corrupt-vehicle N` switches on a targeted corruption campaign:
     // that vehicle's records are corrupted from `--corrupt-after FRAC`
     // (default 0.5) of the stream onward — NaN bursts by default, a finite
-    // additive drift with `--corrupt-mode bias [--corrupt-bias F]`. Works
-    // with or without `--dirty` (targeting never perturbs background dirt).
+    // additive drift of 1000 with `--corrupt-mode bias`. Works with or
+    // without `--dirty` (targeting never perturbs background dirt).
     if let Some(v) = flags.get("corrupt-vehicle") {
         let vehicle: u32 = v.parse().map_err(|e| format!("--corrupt-vehicle: {e}"))?;
         let onset: f64 = get_num(flags, "corrupt-after", 0.5)?;
@@ -725,9 +705,7 @@ fn cmd_serve_replay(flags: &BTreeMap<String, String>) -> Result<(), String> {
         }
         let mode = match flags.get("corrupt-mode").map(String::as_str) {
             None | Some("nan") => navarchos_fleetsim::CorruptionMode::NanBurst,
-            Some("bias") => {
-                navarchos_fleetsim::CorruptionMode::Bias(get_num(flags, "corrupt-bias", 1.0e3)?)
-            }
+            Some("bias") => navarchos_fleetsim::CorruptionMode::Bias(1.0e3),
             Some(other) => {
                 return Err(format!("--corrupt-mode must be nan or bias, got '{other}'"))
             }
@@ -972,7 +950,7 @@ fn cmd_serve_replay(flags: &BTreeMap<String, String>) -> Result<(), String> {
             .collect();
         let mut got: BTreeMap<u32, Vec<navarchos_core::Alarm>> = BTreeMap::new();
         for fa in &alarms {
-            got.entry(fa.vehicle).or_default().push(fa.alarm.clone());
+            got.entry(fa.vehicle).or_default().push(fa.alarm);
         }
         // Counter accounting: every stream item must be offered (a restore
         // that skips or double-feeds records shifts `offered` off the
@@ -1019,7 +997,11 @@ fn cmd_serve_replay(flags: &BTreeMap<String, String>) -> Result<(), String> {
             let fmt_alarm = |a: Option<&navarchos_core::Alarm>| match a {
                 Some(a) => format!(
                     "t={} channel {} ({}) score {:.6} threshold {:.6}",
-                    a.timestamp, a.channel, a.channel_name, a.score, a.threshold
+                    a.timestamp,
+                    a.channel,
+                    engine.channel_names()[a.channel],
+                    a.score,
+                    a.threshold
                 ),
                 None => "<no alarm at this index>".to_string(),
             };
@@ -1368,9 +1350,8 @@ fn cmd_resample(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let input: PathBuf = flags.get("telemetry").ok_or("--telemetry FILE is required")?.into();
     let out: PathBuf = flags.get("out").ok_or("--out FILE is required")?.into();
     let period: i64 = get_num(flags, "period", 60)?;
-    let max_gap: i64 = get_num(flags, "max-gap", 6 * 3_600)?;
-    if period <= 0 || max_gap <= 0 {
-        return Err("--period and --max-gap must be positive".to_string());
+    if period <= 0 {
+        return Err("--period must be positive".to_string());
     }
     let method = match flags.get("method").map(String::as_str) {
         None | Some("linear") => FillMethod::Linear,
@@ -1379,7 +1360,8 @@ fn cmd_resample(flags: &BTreeMap<String, String>) -> Result<(), String> {
     };
 
     let frame = read_frame(&input)?;
-    let gridded = resample(&frame, ResampleSpec { period, max_gap, method });
+    // Gaps over 6 h are parking: the grid never interpolates across them.
+    let gridded = resample(&frame, ResampleSpec { period, max_gap: 6 * 3_600, method });
     write_csv_file(&gridded, &out).map_err(|e| e.to_string())?;
     println!(
         "{} records -> {} grid points at {period} s ({} written)",

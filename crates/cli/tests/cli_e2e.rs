@@ -183,26 +183,41 @@ fn monitor_attributes_alarms_by_day_and_feature_name() {
         .expect("run simulate");
     assert!(out.status.success(), "simulate failed: {}", String::from_utf8_lossy(&out.stderr));
 
-    // A tight factor makes alarms near-certain on a failing vehicle; accept
-    // either outcome but require the new format whenever one fires.
-    let out = navarchos()
-        .args(["monitor", "--telemetry"])
-        .arg(dir.join("vehicle-00.csv"))
-        .args(["--events"])
-        .arg(dir.join("events.csv"))
-        .args(["--factor", "2"])
-        .output()
-        .expect("run monitor");
-    assert!(out.status.success(), "monitor failed: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    for line in text.lines().filter(|l| l.contains("OPERATOR ALARM")) {
-        assert!(line.starts_with("day "), "alarm line carries a day offset: {line}");
-        assert!(line.contains("features: "), "alarm line names features: {line}");
-        let names = line.split("features: ").nth(1).unwrap_or("");
-        assert!(
-            names.chars().any(|c| c.is_alphabetic()),
-            "feature attribution is by name, not index: {line}"
-        );
+    // The seeded fleet pins each summary: vehicle 0's last recorded event
+    // is a repair that leaves its reference unfilled, vehicle 2 alarms
+    // between its service and its repair. Every alarm line carries a day
+    // offset and names its features.
+    for (vehicle, alarms, summary) in [
+        ("00", 0, "0 raw violations → 0 operator alarms; final pipeline state: filling-reference"),
+        (
+            "02",
+            9,
+            "342 raw violations → 9 operator alarms; final pipeline state: filling-reference",
+        ),
+    ] {
+        let out = navarchos()
+            .args(["monitor", "--telemetry"])
+            .arg(dir.join(format!("vehicle-{vehicle}.csv")))
+            .args(["--events"])
+            .arg(dir.join("events.csv"))
+            .args(["--factor", "2"])
+            .output()
+            .expect("run monitor");
+        assert!(out.status.success(), "monitor failed: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(text.lines().last(), Some(summary), "vehicle {vehicle}:\n{text}");
+        let alarm_lines: Vec<&str> =
+            text.lines().filter(|l| l.contains("OPERATOR ALARM")).collect();
+        assert_eq!(alarm_lines.len(), alarms, "vehicle {vehicle}: one line per operator alarm");
+        for line in alarm_lines {
+            assert!(line.starts_with("day "), "alarm line carries a day offset: {line}");
+            assert!(line.contains("features: "), "alarm line names features: {line}");
+            let names = line.split("features: ").nth(1).unwrap_or("");
+            assert!(
+                names.chars().any(|c| c.is_alphabetic()),
+                "feature attribution is by name, not index: {line}"
+            );
+        }
     }
 
     std::fs::remove_dir_all(&dir).ok();
@@ -305,7 +320,12 @@ fn serve_replay_writes_parsable_alarm_journal() {
     assert!(out.status.success(), "serve-replay failed: {}", String::from_utf8_lossy(&out.stderr));
 
     // The journal is NDJSON with the exact schema `xtask alarm-latency`
-    // consumes: one object per alarm, stage stamps monotonically ordered.
+    // consumes: one object per alarm, stage stamps monotonically ordered,
+    // each alarm's channel named from the engine's channel table.
+    let engine = navarchos_ingest::ShardedIngest::new(
+        &navarchos_fleetsim::PID_NAMES,
+        navarchos_ingest::IngestConfig::paper_default(2),
+    );
     let text = std::fs::read_to_string(&journal).expect("journal written");
     assert!(!text.trim().is_empty(), "a 12-vehicle dirty replay must raise alarms");
     for (i, line) in text.lines().enumerate() {
@@ -325,6 +345,13 @@ fn serve_replay_writes_parsable_alarm_journal() {
         ] {
             assert!(doc.get(key).is_some(), "journal line {} lacks `{key}`", i + 1);
         }
+        let channel = doc.get("channel").and_then(navarchos_obs::Json::as_str).unwrap();
+        assert!(
+            engine.channel_names().iter().any(|c| c == channel),
+            "line {}: channel `{channel}` is none of {:?}",
+            i + 1,
+            engine.channel_names()
+        );
         let num = |k: &str| doc.get(k).and_then(navarchos_obs::Json::as_num).unwrap();
         assert!(num("release_ns") >= num("arrival_ns"), "line {}: negative buffer wait", i + 1);
         assert!(num("emit_ns") >= num("release_ns"), "line {}: negative pipeline time", i + 1);

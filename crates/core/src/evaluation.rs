@@ -166,39 +166,53 @@ pub fn evaluate_vehicle_instances(
     counts
 }
 
-/// Sweeps a threshold parameter over pre-computed score traces and returns
-/// `(best_parameter, best_counts)` by F0.5 — the paper's "multiple
-/// factors" protocol. `scores[v]` and `repairs[v]` are index-aligned per
-/// vehicle. Candidates are evaluated in parallel and compared in grid
-/// order, so a tie goes to the earlier candidate.
-pub fn sweep_best(
+/// Evaluates every threshold parameter in `candidates` over pre-computed
+/// score traces and returns each one's fleet counts, in grid order.
+/// `scores[v]` and `repairs[v]` are index-aligned per vehicle; candidates
+/// are evaluated in parallel.
+pub fn sweep(
     scores: &[&VehicleScores],
     repairs: &[Vec<i64>],
     candidates: &[f64],
     params: EvalParams,
-) -> (f64, EvalCounts) {
+) -> Vec<EvalCounts> {
     assert_eq!(scores.len(), repairs.len());
-    assert!(!candidates.is_empty());
-    let per_candidate = crate::par::par_map(candidates, |_, &cand| {
+    crate::par::par_map(candidates, |_, &cand| {
         let mut counts = EvalCounts::default();
         for (vs, reps) in scores.iter().zip(repairs) {
             let instances = vs.alarm_instances(cand, &params);
             counts.merge(&evaluate_vehicle_instances(&instances, reps, params));
         }
         counts
-    });
-    let mut best_param = candidates[0];
-    let mut best_counts = EvalCounts::default();
+    })
+}
+
+/// The best of a [`sweep`] by F0.5 — the paper's "multiple factors"
+/// protocol: `(best_parameter, best_counts)`, a tie going to the earlier
+/// candidate.
+pub fn best_of(candidates: &[f64], counts: &[EvalCounts]) -> (f64, EvalCounts) {
+    assert!(!candidates.is_empty());
+    let mut best = (candidates[0], EvalCounts::default());
     let mut best_f = -1.0;
-    for (&cand, counts) in candidates.iter().zip(per_candidate) {
+    for (&cand, &counts) in candidates.iter().zip(counts) {
         let f = counts.f05();
         if f > best_f {
             best_f = f;
-            best_param = cand;
-            best_counts = counts;
+            best = (cand, counts);
         }
     }
-    (best_param, best_counts)
+    best
+}
+
+/// Sweeps a threshold parameter over pre-computed score traces and returns
+/// `(best_parameter, best_counts)` by F0.5: [`best_of`] a [`sweep`].
+pub fn sweep_best(
+    scores: &[&VehicleScores],
+    repairs: &[Vec<i64>],
+    candidates: &[f64],
+    params: EvalParams,
+) -> (f64, EvalCounts) {
+    best_of(candidates, &sweep(scores, repairs, candidates, params))
 }
 
 /// Vehicle-level bootstrap confidence interval for F0.5: vehicles are

@@ -71,19 +71,25 @@ impl PipelineConfig {
             filter: FilterSpec::navarchos_default(),
         }
     }
+
+    /// The score-channel names (feature or feature-pair labels) that a
+    /// pipeline of this configuration attributes its alarms to, for records
+    /// with the given column names: what [`Alarm::channel`] indexes.
+    pub fn channel_names(&self, input_names: &[String]) -> Vec<String> {
+        Scorer::new(input_names, self.clone()).detector.channel_names()
+    }
 }
 
 /// One raised alarm, attributed to the score channel that violated its
 /// threshold (the paper's "description with the feature that triggered
-/// it").
-#[derive(Debug, Clone, PartialEq)]
+/// it"). The channel is an index; its name is resolved where it is shown,
+/// from [`StreamingPipeline::channel_names`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alarm {
     /// Timestamp of the transformed sample that alarmed.
     pub timestamp: i64,
     /// Violating score channel.
     pub channel: usize,
-    /// Channel name (feature or feature pair).
-    pub channel_name: String,
     /// The anomaly score.
     pub score: f64,
     /// The threshold it exceeded.
@@ -257,7 +263,8 @@ impl Scorer {
 }
 
 /// One item of a vehicle's history in time order.
-pub(crate) enum Walked<'a> {
+#[derive(Debug)]
+pub enum Walked<'a> {
     /// A maintenance event `(time, is_repair)`.
     Event(i64, bool),
     /// A record `(time, row)`.
@@ -266,8 +273,9 @@ pub(crate) enum Walked<'a> {
 
 /// Walks one vehicle's frame in time order, interleaving the time-sorted
 /// maintenance log so that the events at or before a record's time come
-/// before it.
-pub(crate) fn walk(frame: &Frame, maintenance: &[(i64, bool)], mut visit: impl FnMut(Walked<'_>)) {
+/// before it. The served replay, the batch runner and the CLI's `monitor`
+/// all walk a vehicle's history through this one loop.
+pub fn walk(frame: &Frame, maintenance: &[(i64, bool)], mut visit: impl FnMut(Walked<'_>)) {
     let mut events = maintenance.iter().peekable();
     let mut row = Vec::with_capacity(frame.width());
     for (i, &t) in frame.timestamps().iter().enumerate() {
@@ -586,7 +594,6 @@ impl StreamingPipeline {
             .map(|c| Alarm {
                 timestamp: t,
                 channel: c,
-                channel_name: self.channel_names[c].clone(),
                 score: scores[c],
                 threshold: if constant {
                     self.core.cfg.constant_threshold
@@ -612,7 +619,7 @@ impl StreamingPipeline {
                     let mut e = obs::Event::new("pipeline.alarm")
                         .field("timestamp", a.timestamp)
                         .field("channel", a.channel)
-                        .field("feature", a.channel_name.as_str())
+                        .field("feature", self.channel_names[a.channel].as_str())
                         .field("score", a.score)
                         .field("threshold", a.threshold);
                     if let Some(l) = latency_ns {
@@ -775,7 +782,7 @@ mod tests {
             alarms.extend(p.process_record(t, &[a, -2.0 * a + 90.0]));
         }
         assert!(!alarms.is_empty(), "flip not detected");
-        assert_eq!(alarms[0].channel_name, "a~b");
+        assert_eq!(p.channel_names()[alarms[0].channel], "a~b");
         assert!(alarms[0].score > alarms[0].threshold);
     }
 

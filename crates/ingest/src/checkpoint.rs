@@ -5,12 +5,11 @@
 //! engine owns — incremental transform accumulators, window cadence,
 //! reference profiles and tuned thresholds, detector streaming state,
 //! data-quality monitors, per-shard reorder buffers with their in-flight
-//! records and watermarks — plus per-shard counters, routing overrides
-//! from migrations, and two pieces of replay context supplied by the
-//! caller: the **cursor** (stream items consumed so far) and the **alarm
-//! ledger** (alarms already emitted), so a restored run can resume a
-//! deterministic stream mid-way and still verify its total output against
-//! a full-stream oracle.
+//! records and watermarks — plus per-shard counters and two pieces of
+//! replay context supplied by the caller: the **cursor** (stream items
+//! consumed so far) and the **alarm ledger** (alarms already emitted), so
+//! a restored run can resume a deterministic stream mid-way and still
+//! verify its total output against a full-stream oracle.
 //!
 //! # The headline contract
 //!
@@ -19,7 +18,8 @@
 //! the uninterrupted run — scores and thresholds compare equal by
 //! `f64::to_bits`. `tests/checkpoint_props.rs` proves this over random
 //! cut points and dirty streams; `tests/golden.rs` pins it end-to-end on
-//! a seeded fleet, including a migration under load.
+//! a seeded fleet at three cut depths, and `tests/checkpoint_fixture.rs`
+//! keeps a committed v1 file restoring byte for byte.
 //!
 //! # Format
 //!
@@ -35,6 +35,15 @@
 //! checksum so a future-format file is still reported as a version
 //! mismatch; any other byte flip fails the checksum. Truncated or
 //! corrupted bytes return [`SnapError`], never panic.
+//!
+//! Each ledger entry stores its alarm's channel as an index *and* a name.
+//! The writer takes the name from the engine's channel table
+//! ([`ShardedIngest::channel_names`]); the reader checks both against the
+//! restoring engine's table and refuses a mismatch as corrupt, so a ledger
+//! never restores an alarm the engine could not have raised. The engine
+//! frame keeps three v1 slots that items routed by hash alone leave zero
+//! (once a per-vehicle shard table and two move counters); the reader
+//! refuses any other value.
 //!
 //! Not captured: health-FSM trackers (wall-clock-rate ops telemetry,
 //! re-armed on the first `observe_health` tick after restore) and obs
@@ -68,26 +77,32 @@ pub struct RestoredEngine {
     pub prior_alarms: Vec<FleetAlarm>,
 }
 
-fn write_fleet_alarm(w: &mut SnapWriter, fa: &FleetAlarm) {
+/// Writes one ledger entry, its channel named from `channels`.
+///
+/// # Panics
+/// Panics if the alarm's channel is outside `channels`: the ledger holds
+/// only alarms this engine's configuration can raise.
+fn write_fleet_alarm(w: &mut SnapWriter, fa: &FleetAlarm, channels: &[String]) {
     w.put_u32(fa.vehicle);
     w.put_i64(fa.alarm.timestamp);
     w.put_usize(fa.alarm.channel);
-    w.put_str(&fa.alarm.channel_name);
+    w.put_str(&channels[fa.alarm.channel]);
     w.put_f64(fa.alarm.score);
     w.put_f64(fa.alarm.threshold);
 }
 
-fn read_fleet_alarm(r: &mut SnapReader<'_>) -> Result<FleetAlarm, SnapError> {
-    Ok(FleetAlarm {
-        vehicle: r.get_u32()?,
-        alarm: Alarm {
-            timestamp: r.get_i64()?,
-            channel: r.get_usize()?,
-            channel_name: r.get_str()?,
-            score: r.get_f64()?,
-            threshold: r.get_f64()?,
-        },
-    })
+fn read_fleet_alarm(r: &mut SnapReader<'_>, channels: &[String]) -> Result<FleetAlarm, SnapError> {
+    let vehicle = r.get_u32()?;
+    let timestamp = r.get_i64()?;
+    let channel = r.get_usize()?;
+    let Some(name) = channels.get(channel) else {
+        return Err(SnapError::Corrupt("ledger alarm on a channel the engine does not have"));
+    };
+    if r.get_bytes()? != name.as_bytes() {
+        return Err(SnapError::Corrupt("ledger alarm channel name differs from the engine's"));
+    }
+    let alarm = Alarm { timestamp, channel, score: r.get_f64()?, threshold: r.get_f64()? };
+    Ok(FleetAlarm { vehicle, alarm })
 }
 
 /// The config scalars that shape serialised state. Restoring under a
@@ -144,6 +159,10 @@ fn check_fingerprint(
 /// Serialises the engine plus replay context into a `v1` checkpoint.
 /// Updates the `ingest.checkpoint.{writes,bytes,write_us}` metrics when
 /// metrics are on.
+///
+/// # Panics
+/// Panics if a ledger alarm's channel is outside
+/// [`ShardedIngest::channel_names`].
 pub fn write_checkpoint(
     engine: &ShardedIngest,
     cursor: u64,
@@ -157,7 +176,7 @@ pub fn write_checkpoint(
     w.put_u64(cursor);
     w.put_usize(prior_alarms.len());
     for fa in prior_alarms {
-        write_fleet_alarm(&mut w, fa);
+        write_fleet_alarm(&mut w, fa, engine.channel_names());
     }
     w.put_frame(|w| engine.write_engine_state(w));
     let mut bytes = w.into_bytes();
@@ -203,12 +222,12 @@ pub fn read_checkpoint<S: AsRef<str>>(
     check_fingerprint(&mut frame, &names, &cfg)?;
     frame.finish()?;
     let cursor = r.get_u64()?;
+    let mut engine = ShardedIngest::new(&names, cfg);
     let n_alarms = r.get_len(1)?;
     let mut prior_alarms = Vec::with_capacity(n_alarms);
     for _ in 0..n_alarms {
-        prior_alarms.push(read_fleet_alarm(&mut r)?);
+        prior_alarms.push(read_fleet_alarm(&mut r, engine.channel_names())?);
     }
-    let mut engine = ShardedIngest::new(&names, cfg);
     let mut frame = r.get_frame()?;
     engine.read_engine_state(&mut frame)?;
     frame.finish()?;
@@ -297,20 +316,88 @@ mod tests {
         assert!(read_checkpoint(&["a", "c"], tiny_config(2), &bytes).is_err());
     }
 
+    /// `bytes` with `edit` applied to the payload and the CRC-32 trailer
+    /// recomputed, so the edit reaches the structural checks.
+    fn resealed(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = bytes[..bytes.len() - 4].to_vec();
+        edit(&mut payload);
+        let sum = crc32(&payload);
+        payload.extend_from_slice(&sum.to_le_bytes());
+        payload
+    }
+
+    /// Offset just past the ledger's length prefix.
+    fn ledger_at(bytes: &[u8]) -> usize {
+        let mut r = SnapReader::new(bytes);
+        r.get_bytes().unwrap();
+        r.get_u32().unwrap();
+        r.get_frame().unwrap();
+        r.get_u64().unwrap();
+        r.get_usize().unwrap();
+        bytes.len() - r.remaining()
+    }
+
+    fn corrupt_reason<T: std::fmt::Debug>(result: Result<T, SnapError>) -> &'static str {
+        match result {
+            Err(SnapError::Corrupt(why)) => why,
+            other => panic!("expected a named corruption, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn migrated_vehicle_stays_migrated_after_restore() {
+    fn ledger_channels_are_checked_against_the_engine() {
+        let names = ["a", "b"];
+        let engine = ShardedIngest::new(&names, tiny_config(1));
+        assert_eq!(engine.channel_names(), ["a~b"]);
+        let alarm = Alarm { timestamp: 60, channel: 0, score: 2.0, threshold: 1.0 };
+        let bytes = write_checkpoint(&engine, 1, &[FleetAlarm { vehicle: 4, alarm }]);
+        let restored = read_checkpoint(&names, tiny_config(1), &bytes).expect("restore");
+        assert_eq!(restored.prior_alarms, [FleetAlarm { vehicle: 4, alarm }]);
+
+        // Entry layout: vehicle u32, timestamp i64, channel, name, score…
+        let channel_at = ledger_at(&bytes) + 4 + 8;
+        let out_of_range = resealed(&bytes, |p| p[channel_at] = 1);
+        assert_eq!(
+            corrupt_reason(read_checkpoint(&names, tiny_config(1), &out_of_range)),
+            "ledger alarm on a channel the engine does not have"
+        );
+        let name_at = channel_at + 8 + 8;
+        assert_eq!(&bytes[name_at..name_at + 3], b"a~b");
+        let renamed = resealed(&bytes, |p| p[name_at + 2] = b'c');
+        assert_eq!(
+            corrupt_reason(read_checkpoint(&names, tiny_config(1), &renamed)),
+            "ledger alarm channel name differs from the engine's"
+        );
+    }
+
+    #[test]
+    fn engine_frame_with_off_hash_routes_is_refused() {
         let names = ["a", "b"];
         let mut engine = ShardedIngest::new(&names, tiny_config(4));
         let _ = engine.ingest_batch(items(200, 2));
-        let v = 1u32;
-        let home = engine.shard_of(v);
-        let target = (home + 1) % 4;
-        assert!(engine.migrate_vehicle(v, target));
-        assert_eq!(engine.shard_of(v), target);
-        assert_eq!(engine.migration_stats().moves, 1);
         let bytes = write_checkpoint(&engine, 200, &[]);
-        let restored = read_checkpoint(&names, tiny_config(4), &bytes).expect("restore");
-        assert_eq!(restored.engine.shard_of(v), target, "override survives the checkpoint");
-        assert_eq!(restored.engine.migration_stats().moves, 1);
+        // The engine frame's length prefix, then `finished`, then the
+        // three slots that must stay zero: a (vehicle u32, shard usize)
+        // table's length and two move counters.
+        let frame_at = ledger_at(&bytes);
+        let table_at = frame_at + 8 + 1;
+        let one_route = resealed(&bytes, |p| {
+            let len = u64::from_le_bytes(p[frame_at..frame_at + 8].try_into().unwrap());
+            p[frame_at..frame_at + 8].copy_from_slice(&(len + 12).to_le_bytes());
+            p[table_at] = 1;
+            let entry: Vec<u8> = 1u32.to_le_bytes().into_iter().chain(2u64.to_le_bytes()).collect();
+            p.splice(table_at + 8..table_at + 8, entry);
+        });
+        assert_eq!(
+            corrupt_reason(read_checkpoint(&names, tiny_config(4), &one_route)),
+            "checkpoint routes vehicles off their hash shard"
+        );
+        for counter in [table_at + 8, table_at + 16] {
+            let moved = resealed(&bytes, |p| p[counter] = 1);
+            assert_eq!(
+                corrupt_reason(read_checkpoint(&names, tiny_config(4), &moved)),
+                "checkpoint counts vehicle moves between shards"
+            );
+        }
     }
 }

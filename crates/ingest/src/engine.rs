@@ -179,7 +179,7 @@ pub struct AlarmProvenance {
     pub shard: usize,
     /// The alarm's event timestamp (epoch seconds).
     pub alarm_timestamp: i64,
-    /// Violating channel name, as on the alarm.
+    /// The violating channel's name (the alarm carries only its index).
     pub channel_name: String,
     /// The release watermark (epoch seconds) when the triggering record
     /// left the reorder buffer.
@@ -210,7 +210,8 @@ impl AlarmProvenance {
 }
 
 /// An alarm raised by some vehicle's pipeline, tagged with the vehicle.
-#[derive(Debug, Clone, PartialEq)]
+/// Its channel indexes [`ShardedIngest::channel_names`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetAlarm {
     /// The vehicle whose pipeline raised the alarm.
     pub vehicle: u32,
@@ -624,7 +625,7 @@ impl Shard {
                                 vehicle: lane.vehicle,
                                 shard: self.index,
                                 alarm_timestamp: alarm.timestamp,
-                                channel_name: alarm.channel_name.clone(),
+                                channel_name: lane.pipeline.channel_names()[alarm.channel].clone(),
                                 watermark_ts,
                                 arrival_ns: arrival.arrival_ns,
                                 release_ns,
@@ -759,33 +760,17 @@ impl Shard {
     }
 }
 
-/// Counters for vehicle moves between shards (see
-/// [`ShardedIngest::migrate_vehicle`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrationStats {
-    /// Vehicles moved to another shard.
-    pub moves: u64,
-    /// In-flight reorder-buffer items carried across during moves.
-    pub inflight_items: u64,
-}
-
 /// The engine: router + shards. See the module docs.
 #[derive(Debug)]
 pub struct ShardedIngest {
     router: ShardRouter,
-    /// Routing overrides from [`ShardedIngest::migrate_vehicle`], sorted
-    /// by vehicle id. The hash router stays pure; the effective route is
-    /// the override when present. Serialised into checkpoints so a
-    /// restored engine keeps delivering migrated vehicles to their new
-    /// home.
-    overrides: Vec<(u32, usize)>,
     shards: Vec<Shard>,
     health: Vec<ShardHealth>,
+    /// The score-channel names every lane's pipeline attributes alarms
+    /// to, built once from the config.
+    channel_names: Vec<String>,
     /// Fleet-level worst per-vehicle drift, in milli-z.
     worst_drift: std::sync::Arc<obs::Gauge>,
-    migration: MigrationStats,
-    migration_moves: std::sync::Arc<obs::Counter>,
-    migration_inflight: std::sync::Arc<obs::Counter>,
     finished: bool,
 }
 
@@ -796,16 +781,14 @@ impl ShardedIngest {
         let names: Vec<String> = names.iter().map(|s| s.as_ref().to_string()).collect();
         let router = ShardRouter::new(cfg.n_shards);
         let health = (0..cfg.n_shards).map(|_| ShardHealth::new(cfg.health)).collect();
+        let channel_names = cfg.pipeline.channel_names(&names);
         let shards = (0..cfg.n_shards).map(|i| Shard::new(i, names.clone(), cfg.clone())).collect();
         ShardedIngest {
             router,
-            overrides: Vec::new(),
             shards,
             health,
+            channel_names,
             worst_drift: obs::gauge("ingest.quality.worst_drift_mz"),
-            migration: MigrationStats::default(),
-            migration_moves: obs::counter("ingest.migration.moves"),
-            migration_inflight: obs::counter("ingest.migration.inflight_items"),
             finished: false,
         }
     }
@@ -821,20 +804,16 @@ impl ShardedIngest {
         &self.shards[0].cfg
     }
 
-    /// The shard `vehicle`'s state lives on: a migration override when one
-    /// exists, else the pure hash route.
-    pub fn shard_of(&self, vehicle: u32) -> usize {
-        match self.overrides.binary_search_by_key(&vehicle, |(v, _)| *v) {
-            Ok(i) => self.overrides[i].1,
-            Err(_) => self.router.route(vehicle),
-        }
+    /// The score-channel names [`FleetAlarm`]s' channels index.
+    pub fn channel_names(&self) -> &[String] {
+        &self.channel_names
     }
 
     /// Ingests one item inline (no fan-out). Returns any alarms raised by
     /// records this arrival released.
     pub fn ingest(&mut self, item: StreamItem) -> Vec<FleetAlarm> {
         let mut alarms = Vec::new();
-        let shard = self.shard_of(item.vehicle);
+        let shard = self.router.route(item.vehicle);
         self.shards[shard].process(item, &mut alarms);
         alarms
     }
@@ -847,7 +826,7 @@ impl ShardedIngest {
         let n = self.shards.len();
         let mut buckets: Vec<Vec<StreamItem>> = (0..n).map(|_| Vec::new()).collect();
         for item in items {
-            buckets[self.shard_of(item.vehicle)].push(item);
+            buckets[self.router.route(item.vehicle)].push(item);
         }
         let mut tasks: Vec<(&mut Shard, Vec<StreamItem>)> =
             self.shards.iter_mut().zip(buckets).collect();
@@ -998,75 +977,17 @@ impl ShardedIngest {
         out
     }
 
-    /// Moves one vehicle's entire state — reorder buffer with in-flight
-    /// items, pipeline, quality monitor — to `to_shard`, and records a
-    /// routing override so future arrivals follow it. The lane and quality
-    /// structs move as they are, so alarms after the move are
-    /// byte-identical to never having moved.
-    ///
-    /// In-flight items are *not* flushed: flushing would feed the pipeline
-    /// records the watermark has not released and change its output.
-    /// Returns whether any live state moved (an unseen vehicle gets only
-    /// the override).
-    ///
-    /// # Panics
-    /// Panics if `to_shard` is out of range.
-    pub fn migrate_vehicle(&mut self, vehicle: u32, to_shard: usize) -> bool {
-        assert!(to_shard < self.shards.len(), "target shard out of range");
-        let from = self.shard_of(vehicle);
-        match self.overrides.binary_search_by_key(&vehicle, |(v, _)| *v) {
-            Ok(i) => self.overrides[i].1 = to_shard,
-            Err(i) => self.overrides.insert(i, (vehicle, to_shard)),
-        }
-        if from == to_shard {
-            return false;
-        }
-        let mut moved = false;
-        let mut inflight = 0u64;
-        // A vehicle's state lives only on the shard it routes to, so the
-        // target holds no lane or monitor for it yet.
-        if let Ok(i) = self.shards[from].lanes.binary_search_by_key(&vehicle, |l| l.vehicle) {
-            let lane = self.shards[from].lanes.remove(i);
-            inflight = lane.buffer.len() as u64;
-            let lanes = &mut self.shards[to_shard].lanes;
-            lanes.insert(lanes.partition_point(|l| l.vehicle < vehicle), lane);
-            moved = true;
-        }
-        if let Ok(i) = self.shards[from].quality.binary_search_by_key(&vehicle, |q| q.vehicle) {
-            let q = self.shards[from].quality.remove(i);
-            let quality = &mut self.shards[to_shard].quality;
-            quality.insert(quality.partition_point(|q| q.vehicle < vehicle), q);
-            moved = true;
-        }
-        if moved {
-            self.migration.moves += 1;
-            self.migration.inflight_items += inflight;
-            if obs::metrics_enabled() {
-                self.migration_moves.incr();
-                self.migration_inflight.add(inflight);
-            }
-        }
-        moved
-    }
-
-    /// Cumulative migration counters.
-    pub fn migration_stats(&self) -> MigrationStats {
-        self.migration
-    }
-
-    /// Serialises the engine's full mutable state (routing overrides plus
-    /// every shard). Health-FSM trackers are deliberately excluded: they
-    /// are wall-clock-rate ops telemetry, re-armed on the next
-    /// [`ShardedIngest::observe_health`] tick after a restore.
+    /// Serialises the engine's full mutable state: every shard. Health-FSM
+    /// trackers are deliberately excluded: they are wall-clock-rate ops
+    /// telemetry, re-armed on the next [`ShardedIngest::observe_health`]
+    /// tick after a restore. Items route by hash alone, so the three v1
+    /// slots that once held a per-vehicle shard table and two move counters
+    /// are written as zeros.
     pub(crate) fn write_engine_state(&self, w: &mut SnapWriter) {
         w.put_bool(self.finished);
-        w.put_usize(self.overrides.len());
-        for (v, s) in &self.overrides {
-            w.put_u32(*v);
-            w.put_usize(*s);
-        }
-        w.put_u64(self.migration.moves);
-        w.put_u64(self.migration.inflight_items);
+        w.put_usize(0);
+        w.put_u64(0);
+        w.put_u64(0);
         w.put_usize(self.shards.len());
         for shard in &self.shards {
             w.put_frame(|w| shard.write_state(w));
@@ -1077,21 +998,14 @@ impl ShardedIngest {
     /// constructed engine with the same config.
     pub(crate) fn read_engine_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let finished = r.get_bool()?;
-        let n_overrides = r.get_len(12)?;
-        let mut overrides = Vec::with_capacity(n_overrides);
-        for _ in 0..n_overrides {
-            let v = r.get_u32()?;
-            let s = r.get_usize()?;
-            if s >= self.shards.len() {
-                return Err(SnapError::Corrupt("routing override to a nonexistent shard"));
-            }
-            overrides.push((v, s));
+        // A vehicle routed anywhere but its hash shard would be served by
+        // a lane that never sees its items: refuse rather than misroute.
+        if r.get_usize()? != 0 {
+            return Err(SnapError::Corrupt("checkpoint routes vehicles off their hash shard"));
         }
-        if !overrides.iter().zip(overrides.iter().skip(1)).all(|(a, b)| a.0 < b.0) {
-            return Err(SnapError::Corrupt("routing overrides out of order"));
+        if r.get_u64()? != 0 || r.get_u64()? != 0 {
+            return Err(SnapError::Corrupt("checkpoint counts vehicle moves between shards"));
         }
-        let moves = r.get_u64()?;
-        let inflight_items = r.get_u64()?;
         let n_shards = r.get_usize()?;
         if n_shards != self.shards.len() {
             return Err(SnapError::Corrupt("shard-count mismatch"));
@@ -1102,8 +1016,6 @@ impl ShardedIngest {
             frame.finish()?;
         }
         self.finished = finished;
-        self.overrides = overrides;
-        self.migration = MigrationStats { moves, inflight_items };
         Ok(())
     }
 }
@@ -1229,7 +1141,7 @@ mod tests {
         for (p, fa) in prov.iter().zip(&alarms) {
             assert_eq!(p.vehicle, fa.vehicle);
             assert_eq!(p.alarm_timestamp, fa.alarm.timestamp);
-            assert_eq!(p.channel_name, fa.alarm.channel_name);
+            assert_eq!(p.channel_name, engine.channel_names()[fa.alarm.channel]);
             assert_eq!(p.shard, 0);
             assert!(p.release_ns >= p.arrival_ns, "buffer wait cannot be negative");
             assert!(p.emit_ns >= p.release_ns, "pipeline time cannot be negative");

@@ -35,7 +35,7 @@ pub use checkpoint::{
 };
 pub use engine::{
     AlarmProvenance, DeadLetter, DeadLetterReason, FleetAlarm, IngestConfig, IngestStats,
-    MigrationStats, ShardedIngest,
+    ShardedIngest,
 };
 pub use health::{
     HealthFsm, HealthPolicy, HealthRates, HealthSample, HealthState, HealthThresholds,

@@ -21,11 +21,6 @@ impl ShardRouter {
         ShardRouter { n_shards: n_shards as u64 }
     }
 
-    /// Number of shards routed over.
-    pub fn n_shards(&self) -> usize {
-        self.n_shards as usize
-    }
-
     /// The shard owning `vehicle`. Always `< n_shards`.
     pub fn route(&self, vehicle: u32) -> usize {
         // SplitMix64 finaliser: full 64-bit avalanche in three rounds.

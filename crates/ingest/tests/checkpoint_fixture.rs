@@ -114,14 +114,17 @@ fn stream() -> Vec<StreamItem> {
 
 type AlarmBits = (i64, usize, String, u64, u64);
 
+/// Alarms per vehicle, each channel named by index from the pipeline's
+/// channel table.
 fn by_vehicle(alarms: &[FleetAlarm]) -> BTreeMap<u32, Vec<AlarmBits>> {
+    let pipeline = StreamingPipeline::new(&NAMES, config().pipeline);
     let mut out: BTreeMap<u32, Vec<AlarmBits>> = BTreeMap::new();
     for fa in alarms {
         let a = &fa.alarm;
         out.entry(fa.vehicle).or_default().push((
             a.timestamp,
             a.channel,
-            a.channel_name.clone(),
+            pipeline.channel_names()[a.channel].clone(),
             a.score.to_bits(),
             a.threshold.to_bits(),
         ));

@@ -86,17 +86,19 @@ fn dirty_stream(
     keyed.into_iter().map(|(_, _, it)| it).collect()
 }
 
-/// Bit-exact view of an alarm list, grouped per vehicle. Grouping is
-/// necessary because batch boundaries reorder alarms *across* vehicles
-/// (shard emission order) while preserving order *within* each vehicle.
+/// Bit-exact view of an alarm list, grouped per vehicle, each channel
+/// named by index from the engine's channel table. Grouping is necessary
+/// because batch boundaries reorder alarms *across* vehicles (shard
+/// emission order) while preserving order *within* each vehicle.
 fn by_vehicle_bits(alarms: &[FleetAlarm]) -> BTreeMap<u32, Vec<(i64, usize, String, u64, u64)>> {
+    let engine = ShardedIngest::new(&NAMES, tiny_config(1));
     let mut map: BTreeMap<u32, Vec<_>> = BTreeMap::new();
     for fa in alarms {
-        let Alarm { timestamp, channel, ref channel_name, score, threshold } = fa.alarm;
+        let Alarm { timestamp, channel, score, threshold } = fa.alarm;
         map.entry(fa.vehicle).or_default().push((
             timestamp,
             channel,
-            channel_name.clone(),
+            engine.channel_names()[channel].clone(),
             score.to_bits(),
             threshold.to_bits(),
         ));

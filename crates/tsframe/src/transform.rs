@@ -19,11 +19,10 @@ use std::collections::VecDeque;
 
 /// A streaming data transformation.
 ///
-/// `push` feeds one raw record and returns the transformed sample it
-/// completes, if any (windowed transformations emit every `stride` records
-/// once their buffer is full). `push_into` is the allocation-free variant
-/// used by the scoring hot loops; the two defaults are defined in terms of
-/// each other, so an implementor must override at least one.
+/// [`Transform::push_into`] feeds one raw record and writes the
+/// transformed sample it completes, if any, into a caller-owned buffer
+/// (windowed transformations emit every `stride` records once their buffer
+/// is full); [`Transform::apply`] runs it over a whole frame.
 /// `Debug` is a supertrait so boxed transforms stay inspectable inside the
 /// pipeline/runner structs (workspace lint: `missing_debug_implementations`).
 /// `Send` is a supertrait so a boxed transform — and any pipeline holding
@@ -35,23 +34,11 @@ pub trait Transform: std::fmt::Debug + Send {
     /// Names of the output features (for alarm attribution).
     fn output_names(&self) -> Vec<String>;
 
-    /// Feeds one raw record; returns a transformed `(timestamp, features)`
-    /// sample when one is completed.
-    fn push(&mut self, timestamp: i64, row: &[f64]) -> Option<(i64, Vec<f64>)> {
-        let mut out = vec![0.0; self.output_dim()];
-        let t = self.push_into(timestamp, row, &mut out)?;
-        Some((t, out))
-    }
-
-    /// Allocation-free variant of [`Transform::push`]: writes the completed
-    /// sample into `out` (which must have length [`Transform::output_dim`])
-    /// and returns its timestamp. When no sample is completed, `out` is
-    /// left in an unspecified state.
-    fn push_into(&mut self, timestamp: i64, row: &[f64], out: &mut [f64]) -> Option<i64> {
-        let (t, x) = self.push(timestamp, row)?;
-        out.copy_from_slice(&x);
-        Some(t)
-    }
+    /// Feeds one raw record. When it completes a transformed sample,
+    /// writes the sample into `out` (which must have length
+    /// [`Transform::output_dim`]) and returns its timestamp; otherwise
+    /// `out` is left in an unspecified state.
+    fn push_into(&mut self, timestamp: i64, row: &[f64], out: &mut [f64]) -> Option<i64>;
 
     /// Clears all buffered state (used when the reference profile resets).
     fn reset(&mut self);
@@ -658,10 +645,11 @@ mod tests {
     #[test]
     fn delta_reset_clears_prev() {
         let mut t = DeltaTransform::new(&names(&["x"]));
-        assert!(t.push(0, &[1.0]).is_none());
-        assert!(t.push(1, &[2.0]).is_some());
+        let mut out = [0.0];
+        assert!(t.push_into(0, &[1.0], &mut out).is_none());
+        assert!(t.push_into(1, &[2.0], &mut out).is_some());
         t.reset();
-        assert!(t.push(2, &[5.0]).is_none(), "reset forgets the previous record");
+        assert!(t.push_into(2, &[5.0], &mut out).is_none(), "reset forgets the previous record");
     }
 
     #[test]
@@ -693,16 +681,17 @@ mod tests {
     fn correlation_detects_relationship_flip() {
         let names2 = names(&["a", "b"]);
         let mut t = CorrelationTransform::new(&names2, 4, 4);
+        let mut x = [0.0];
         let mut out = Vec::new();
         // First regime: b = a.
         for i in 0..8 {
-            if let Some((_, x)) = t.push(i, &[i as f64, i as f64]) {
+            if t.push_into(i, &[i as f64, i as f64], &mut x).is_some() {
                 out.push(x[0]);
             }
         }
         // Second regime: b = -a (relationship flip, as a fault would cause).
         for i in 8..16 {
-            if let Some((_, x)) = t.push(i, &[i as f64, -(i as f64)]) {
+            if t.push_into(i, &[i as f64, -(i as f64)], &mut x).is_some() {
                 out.push(x[0]);
             }
         }
@@ -724,9 +713,10 @@ mod tests {
     #[test]
     fn window_emits_immediately_when_full_then_strides() {
         let mut t = MeanTransform::new(&names(&["x"]), 3, 5);
+        let mut out = [0.0];
         let mut emitted = Vec::new();
         for i in 0..20 {
-            if t.push(i, &[i as f64]).is_some() {
+            if t.push_into(i, &[i as f64], &mut out).is_some() {
                 emitted.push(i);
             }
         }
@@ -736,39 +726,18 @@ mod tests {
     }
 
     #[test]
-    fn push_into_matches_push() {
-        let n = names(&["a", "b", "c"]);
-        let mut by_push = CorrelationTransform::new(&n, 6, 2).with_differencing();
-        let mut by_into = CorrelationTransform::new(&n, 6, 2).with_differencing();
-        let mut out = vec![0.0; by_into.output_dim()];
-        for i in 0..200i64 {
-            // A parked gap every 37 records exercises the reset path; a
-            // slow drift plus harmonics keeps the signals non-degenerate.
-            let t = i * 60 + (i / 37) * 8 * 3600;
-            let x = (i as f64 * 0.37).sin() * 4.0 + i as f64 * 0.01;
-            let row = [x, 2.0 * x - (i as f64 * 0.11).cos(), x * x * 0.05];
-            let a = by_push.push(t, &row);
-            let b = by_into.push_into(t, &row, &mut out);
-            assert_eq!(a.as_ref().map(|(at, _)| *at), b, "emission cadence must agree at i={i}");
-            if let Some((_, av)) = a {
-                for (p, q) in av.iter().zip(&out) {
-                    assert!((p - q).abs() < 1e-12, "values must agree at i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn correlation_gap_starts_fresh_window() {
         let n = names(&["x", "y"]);
         let mut t = CorrelationTransform::new(&n, 3, 1);
-        assert!(t.push(0, &[1.0, 2.0]).is_none());
-        assert!(t.push(60, &[2.0, 1.0]).is_none());
-        assert!(t.push(120, &[3.0, 5.0]).is_some(), "window full");
+        let mut out = [0.0];
+        let mut push = |ts: i64, row: [f64; 2]| t.push_into(ts, &row, &mut out).is_some();
+        assert!(!push(0, [1.0, 2.0]));
+        assert!(!push(60, [2.0, 1.0]));
+        assert!(push(120, [3.0, 5.0]), "window full");
         // An overnight gap clears the buffer: three more records needed.
-        assert!(t.push(120 + 12 * 3600, &[1.0, 2.0]).is_none());
-        assert!(t.push(120 + 12 * 3600 + 60, &[2.0, 1.0]).is_none());
-        assert!(t.push(120 + 12 * 3600 + 120, &[3.0, 5.0]).is_some());
+        assert!(!push(120 + 12 * 3600, [1.0, 2.0]));
+        assert!(!push(120 + 12 * 3600 + 60, [2.0, 1.0]));
+        assert!(push(120 + 12 * 3600 + 120, [3.0, 5.0]));
     }
 
     #[test]

@@ -182,46 +182,6 @@ fn gapped_stream() -> impl Strategy<Value = Vec<(i64, f64, f64)>> {
 
 proptest! {
     #[test]
-    fn push_into_matches_push_for_all_transforms(
-        stream in gapped_stream(),
-        window in 2usize..12,
-        stride in 1usize..5,
-    ) {
-        // The allocating and buffer-reusing entry points must be
-        // indistinguishable: same emission cadence, same values.
-        let names = ["a".to_string(), "b".to_string()];
-        let mut push_t = CorrelationTransform::new(&names, window, stride).with_differencing();
-        let mut into_t = push_t.clone();
-        let mut mean_push = MeanTransform::new(&names, window, stride);
-        let mut mean_into = mean_push.clone();
-        let mut t = 0i64;
-        let mut corr_out = vec![0.0; push_t.output_dim()];
-        let mut mean_out = vec![0.0; mean_push.output_dim()];
-        for &(gap, a, b) in &stream {
-            t += gap;
-            let row = [a, b];
-            let by_push = push_t.push(t, &row);
-            let by_into = into_t.push_into(t, &row, &mut corr_out);
-            prop_assert_eq!(by_push.is_some(), by_into.is_some());
-            if let (Some((pt, pv)), Some(it)) = (by_push, by_into) {
-                prop_assert_eq!(pt, it);
-                for (&x, &y) in pv.iter().zip(&corr_out) {
-                    prop_assert!(x.is_nan() && y.is_nan() || x == y, "{x} vs {y}");
-                }
-            }
-            let by_push = mean_push.push(t, &row);
-            let by_into = mean_into.push_into(t, &row, &mut mean_out);
-            prop_assert_eq!(by_push.is_some(), by_into.is_some());
-            if let (Some((pt, pv)), Some(it)) = (by_push, by_into) {
-                prop_assert_eq!(pt, it);
-                for (&x, &y) in pv.iter().zip(&mean_out) {
-                    prop_assert!(x.is_nan() && y.is_nan() || x == y, "{x} vs {y}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn correlation_long_gap_equals_fresh_transform(
         prefix in gapped_stream(),
         suffix in prop::collection::vec((1i64..100, -500.0f64..500.0, -500.0f64..500.0), 12..80),
@@ -231,20 +191,21 @@ proptest! {
         // behave exactly like a newly constructed one on the suffix.
         let names = ["a".to_string(), "b".to_string()];
         let mut resumed = CorrelationTransform::new(&names, window, 1).with_differencing();
+        let (mut rv, mut fv) = ([0.0], [0.0]);
         let mut t = 0i64;
         for &(gap, a, b) in &prefix {
             t += gap;
-            let _ = resumed.push(t, &[a, b]);
+            let _ = resumed.push_into(t, &[a, b], &mut rv);
         }
         t += 7 * 3600; // the long gap
         let mut fresh = CorrelationTransform::new(&names, window, 1).with_differencing();
         for &(gap, a, b) in &suffix {
             t += gap;
             let row = [a, b];
-            let r = resumed.push(t, &row);
-            let f = fresh.push(t, &row);
-            prop_assert_eq!(r.is_some(), f.is_some(), "cadence diverged at {}", t);
-            if let (Some((_, rv)), Some((_, fv))) = (r, f) {
+            let r = resumed.push_into(t, &row, &mut rv);
+            let f = fresh.push_into(t, &row, &mut fv);
+            prop_assert_eq!(r, f, "cadence diverged at {}", t);
+            if r.is_some() {
                 for (&x, &y) in rv.iter().zip(&fv) {
                     prop_assert!(x.is_nan() && y.is_nan() || x == y, "{x} vs {y}");
                 }

@@ -9,7 +9,7 @@
 //! ```
 
 use navarchos_core::detectors::DetectorKind;
-use navarchos_core::evaluation::{evaluate_vehicle_instances, factor_grid, EvalCounts, EvalParams};
+use navarchos_core::evaluation::{best_of, factor_grid, sweep, EvalParams};
 use navarchos_core::runner::{run_vehicle, RunnerParams};
 use navarchos_core::TransformKind;
 use navarchos_fleetsim::{FleetConfig, START_EPOCH};
@@ -45,13 +45,11 @@ fn main() {
 
     println!("\nthreshold-factor sweep (PH = 30 days):");
     let eval = EvalParams::days(30);
-    let mut best: Option<(f64, EvalCounts)> = None;
-    for factor in factor_grid() {
-        let mut counts = EvalCounts::default();
-        for (vd, vs) in fleet.vehicles.iter().zip(&traces) {
-            let instances = vs.alarm_instances(factor, &eval);
-            counts.merge(&evaluate_vehicle_instances(&instances, &vd.recorded_repairs(), eval));
-        }
+    let grid = factor_grid();
+    let trace_refs: Vec<_> = traces.iter().collect();
+    let repairs: Vec<Vec<i64>> = fleet.vehicles.iter().map(|vd| vd.recorded_repairs()).collect();
+    let swept = sweep(&trace_refs, &repairs, &grid, eval);
+    for (factor, counts) in grid.iter().zip(&swept) {
         println!(
             "  factor {factor:5.2}: precision {:.2}  recall {:.2}  F0.5 {:.2}  (tp {} / fp {} / fn {})",
             counts.precision(),
@@ -61,11 +59,8 @@ fn main() {
             counts.fp,
             counts.fn_
         );
-        if best.as_ref().map(|(_, b)| counts.f05() > b.f05()).unwrap_or(true) {
-            best = Some((factor, counts));
-        }
     }
-    let (factor, counts) = best.expect("sweep is non-empty");
+    let (factor, counts) = best_of(&grid, &swept);
     println!(
         "\nbest operating point: factor {factor} → F0.5 {:.2} (precision {:.2}, recall {:.2})",
         counts.f05(),
@@ -75,13 +70,12 @@ fn main() {
 
     // Show which vehicles alarm at the chosen factor.
     println!("\nalarm instances at the best factor:");
-    for (vd, vs) in fleet.vehicles.iter().zip(&traces) {
+    for ((vd, vs), repairs) in fleet.vehicles.iter().zip(&traces).zip(&repairs) {
         let instances = vs.alarm_instances(factor, &eval);
         if instances.is_empty() {
             continue;
         }
         let days: Vec<i64> = instances.iter().map(|t| (t - START_EPOCH) / 86_400).collect();
-        let repairs = vd.recorded_repairs();
         let marks: Vec<String> = instances
             .iter()
             .zip(&days)

@@ -10,8 +10,9 @@
 
 use navarchos_core::detectors::DetectorKind;
 use navarchos_core::evaluation::EvalParams;
+use navarchos_core::pipeline::{walk, Walked};
 use navarchos_core::{AlarmAggregator, PipelineConfig, StreamingPipeline, TransformKind};
-use navarchos_fleetsim::{EventKind, FleetConfig, PID_NAMES, START_EPOCH};
+use navarchos_fleetsim::{FleetConfig, PID_NAMES, START_EPOCH};
 
 fn main() {
     // 1. A deterministic synthetic fleet (stands in for the FMS data).
@@ -48,34 +49,27 @@ fn main() {
         AlarmAggregator::new(&EvalParams::days(30), pipeline.channel_names().len());
     let mut instances = 0usize;
 
-    // 4. Replay the vehicle's history: events reset the reference profile,
-    //    records flow through filter → transform → detector → threshold.
-    let mut events = vehicle.recorded_events().into_iter().peekable();
+    // 4. Replay the vehicle's history: maintenance events reset the
+    //    reference profile, records flow through filter → transform →
+    //    detector → threshold.
     let mut alarms = 0usize;
     let mut weekly = vec![0usize; fleet.n_days / 7 + 1];
-    let frame = &vehicle.frame;
-    let mut row = Vec::new();
-    for i in 0..frame.len() {
-        let t = frame.timestamps()[i];
-        while let Some(e) = events.peek() {
-            if e.timestamp > t {
-                break;
-            }
-            if e.kind.is_maintenance() {
-                println!(
-                    "day {:3}: {} → reference reset",
-                    (e.timestamp - START_EPOCH) / 86_400,
-                    e.kind.label()
-                );
-                pipeline.process_event(e.kind == EventKind::Repair);
-            }
-            events.next();
+    walk(&vehicle.frame, &vehicle.maintenance_log(), |item| match item {
+        Walked::Event(t, is_repair) => {
+            println!(
+                "day {:3}: {} → reference reset",
+                (t - START_EPOCH) / 86_400,
+                if is_repair { "repair" } else { "service" }
+            );
+            pipeline.process_event(is_repair);
         }
-        frame.row_into(i, &mut row);
-        for alarm in pipeline.process_record(t, &row) {
-            alarms += 1;
-            weekly[((alarm.timestamp - START_EPOCH) / (7 * 86_400)) as usize] += 1;
-            if let Some(instance) = aggregator.push(alarm.timestamp, alarm.channel) {
+        Walked::Record(t, row) => {
+            for alarm in pipeline.process_record(t, row) {
+                alarms += 1;
+                weekly[((alarm.timestamp - START_EPOCH) / (7 * 86_400)) as usize] += 1;
+                let Some(instance) = aggregator.push(alarm.timestamp, alarm.channel) else {
+                    continue;
+                };
                 instances += 1;
                 if instances <= 8 {
                     println!(
@@ -83,12 +77,12 @@ fn main() {
                         (instance.start - START_EPOCH) / 86_400,
                         instance.violations,
                         instance.channels.len(),
-                        alarm.channel_name
+                        pipeline.channel_names()[alarm.channel]
                     );
                 }
             }
         }
-    }
+    });
     println!(
         "
 total threshold violations: {alarms}"
