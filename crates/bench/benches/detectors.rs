@@ -33,13 +33,12 @@ fn queries(n: usize) -> Vec<Vec<f64>> {
 
 fn bench_fit(c: &mut Criterion) {
     let profile = reference(80);
-    let names: Vec<String> = (0..DIM).map(|i| format!("f{i}")).collect();
     let params = DetectorParams::default();
 
     let mut group = c.benchmark_group("detector_fit");
     group.bench_function("closest_pair", |b| {
         b.iter(|| {
-            let mut d = ClosestPairDetector::new(&names);
+            let mut d = ClosestPairDetector::new(DIM);
             d.fit(&profile);
             d.is_fitted()
         })
@@ -53,7 +52,7 @@ fn bench_fit(c: &mut Criterion) {
     });
     group.bench_function("xgboost", |b| {
         b.iter(|| {
-            let mut d = XgboostDetector::new(&names, &params);
+            let mut d = XgboostDetector::new(DIM, &params);
             d.fit(&profile);
             d.is_fitted()
         })
@@ -71,14 +70,13 @@ fn bench_fit(c: &mut Criterion) {
 
 fn bench_score(c: &mut Criterion) {
     let profile = reference(80);
-    let names: Vec<String> = (0..DIM).map(|i| format!("f{i}")).collect();
     let params = DetectorParams::default();
     let qs = queries(256);
 
     let mut group = c.benchmark_group("detector_score_256");
     group.throughput(Throughput::Elements(qs.len() as u64));
 
-    let mut cp = ClosestPairDetector::new(&names);
+    let mut cp = ClosestPairDetector::new(DIM);
     cp.fit(&profile);
     group.bench_function("closest_pair", |b| {
         b.iter(|| qs.iter().map(|q| cp.score(q)[0]).sum::<f64>())
@@ -90,7 +88,7 @@ fn bench_score(c: &mut Criterion) {
         b.iter(|| qs.iter().map(|q| grand.score(q)[0]).sum::<f64>())
     });
 
-    let mut xgb = XgboostDetector::new(&names, &params);
+    let mut xgb = XgboostDetector::new(DIM, &params);
     xgb.fit(&profile);
     group.bench_function("xgboost", |b| b.iter(|| qs.iter().map(|q| xgb.score(q)[0]).sum::<f64>()));
 

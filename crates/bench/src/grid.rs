@@ -4,7 +4,9 @@
 //! horizons and the full threshold sweep without re-scoring.
 
 use navarchos_core::detectors::DetectorKind;
-use navarchos_core::evaluation::{constant_grid, factor_grid, sweep_best, EvalCounts, EvalParams};
+use navarchos_core::evaluation::{
+    constant_grid, factor_grid, sweep, sweep_best, EvalCounts, EvalParams,
+};
 use navarchos_core::runner::{run_vehicle, RunnerParams, VehicleScores};
 use navarchos_core::ResetPolicy;
 use navarchos_fleetsim::FleetData;
@@ -70,11 +72,16 @@ pub fn fleet_scores_with(fleet: &FleetData, params: RunnerParams) -> GridOutcome
 }
 
 impl GridOutcome {
+    /// The score traces of a vehicle subset and their recorded repairs,
+    /// index-aligned as [`sweep`] takes them.
+    fn traces(&self, fleet: &FleetData, subset: &[usize]) -> (Vec<&VehicleScores>, Vec<Vec<i64>>) {
+        (subset.iter().map(|&v| &self.scores[v]).collect(), repairs_for(fleet, subset))
+    }
+
     /// Evaluates the cell on a vehicle subset and PH, sweeping the
     /// threshold grid and returning `(best_threshold_param, counts)`.
     pub fn evaluate(&self, fleet: &FleetData, subset: &[usize], ph_days: i64) -> (f64, EvalCounts) {
-        let repairs = repairs_for(fleet, subset);
-        let traces: Vec<&VehicleScores> = subset.iter().map(|&v| &self.scores[v]).collect();
+        let (traces, repairs) = self.traces(fleet, subset);
         let grid = if self.scores.first().map(|s| s.constant_threshold).unwrap_or(false) {
             constant_grid()
         } else {
@@ -83,7 +90,8 @@ impl GridOutcome {
         sweep_best(&traces, &repairs, &grid, EvalParams::days(ph_days))
     }
 
-    /// Evaluates the cell at one fixed threshold parameter (no sweep).
+    /// Evaluates the cell at one fixed threshold parameter: a [`sweep`]
+    /// of that one candidate.
     pub fn evaluate_at(
         &self,
         fleet: &FleetData,
@@ -91,16 +99,8 @@ impl GridOutcome {
         ph_days: i64,
         param: f64,
     ) -> EvalCounts {
-        let params = EvalParams::days(ph_days);
-        let mut counts = EvalCounts::default();
-        for &v in subset {
-            let repairs = fleet.vehicles[v].recorded_repairs();
-            let instances = self.scores[v].alarm_instances(param, &params);
-            counts.merge(&navarchos_core::evaluation::evaluate_vehicle_instances(
-                &instances, &repairs, params,
-            ));
-        }
-        counts
+        let (traces, repairs) = self.traces(fleet, subset);
+        sweep(&traces, &repairs, &[param], EvalParams::days(ph_days)).pop().unwrap_or_default()
     }
 }
 

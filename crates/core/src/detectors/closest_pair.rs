@@ -11,46 +11,38 @@ use navarchos_neighbors::SortedNeighbors;
 /// Per-feature nearest-neighbour distance detector.
 #[derive(Debug, Clone)]
 pub struct ClosestPairDetector {
-    names: Vec<String>,
+    dim: usize,
     per_feature: Vec<SortedNeighbors>,
 }
 
 impl ClosestPairDetector {
-    /// Creates an unfitted detector for the named features.
-    pub fn new<S: AsRef<str>>(names: &[S]) -> Self {
-        ClosestPairDetector {
-            names: names.iter().map(|s| s.as_ref().to_string()).collect(),
-            per_feature: Vec::new(),
-        }
+    /// Creates an unfitted detector for `dim` features.
+    pub fn new(dim: usize) -> Self {
+        ClosestPairDetector { dim, per_feature: Vec::new() }
     }
 }
 
 impl Detector for ClosestPairDetector {
     fn n_channels(&self) -> usize {
-        self.names.len()
-    }
-
-    fn channel_names(&self) -> Vec<String> {
-        self.names.clone()
+        self.dim
     }
 
     fn fit(&mut self, reference: &ReferenceProfile) {
-        assert_eq!(reference.dim(), self.names.len(), "profile width mismatch");
+        assert_eq!(reference.dim(), self.dim, "profile width mismatch");
         assert!(!reference.is_empty(), "empty reference profile");
-        let n = reference.len();
-        let mut column = Vec::with_capacity(n);
+        let dim = reference.dim();
         self.per_feature.clear();
-        for j in 0..reference.dim() {
-            column.clear();
-            column.extend((0..n).map(|i| reference.sample(i)[j]));
-            self.per_feature.push(SortedNeighbors::new(&column));
+        for j in 0..dim {
+            // Each feature's column, gathered into the buffer it is sorted in.
+            let column = reference.data().iter().skip(j).step_by(dim).copied().collect();
+            self.per_feature.push(SortedNeighbors::from_vec(column));
         }
     }
 
     fn score(&mut self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.names.len());
+        debug_assert_eq!(x.len(), self.dim);
         if self.per_feature.is_empty() {
-            return vec![f64::NAN; self.names.len()];
+            return vec![f64::NAN; self.dim];
         }
         self.per_feature.iter().zip(x).map(|(nn, &v)| nn.nearest_distance(v)).collect()
     }
@@ -67,9 +59,10 @@ impl Detector for ClosestPairDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detectors::DetectorKind;
 
     fn fitted() -> ClosestPairDetector {
-        let mut d = ClosestPairDetector::new(&["a", "b"]);
+        let mut d = ClosestPairDetector::new(2);
         let mut p = ReferenceProfile::new(2, 3);
         p.push(&[1.0, 10.0]);
         p.push(&[2.0, 20.0]);
@@ -95,7 +88,7 @@ mod tests {
 
     #[test]
     fn unfitted_returns_nan() {
-        let mut d = ClosestPairDetector::new(&["a", "b"]);
+        let mut d = ClosestPairDetector::new(2);
         assert!(!d.is_fitted());
         assert!(d.score(&[1.0, 2.0]).iter().all(|v| v.is_nan()));
     }
@@ -110,9 +103,22 @@ mod tests {
 
     #[test]
     fn channel_names_match_features() {
-        let d = ClosestPairDetector::new(&["x~y", "x~z"]);
-        assert_eq!(d.channel_names(), vec!["x~y", "x~z"]);
-        assert_eq!(d.n_channels(), 2);
+        let features = ["x~y".to_string(), "x~z".to_string()];
+        assert_eq!(DetectorKind::ClosestPair.channel_names(&features), features);
+        assert_eq!(ClosestPairDetector::new(2).n_channels(), 2);
+    }
+
+    #[test]
+    fn fit_keeps_each_column_sorted_and_finite() {
+        let mut d = ClosestPairDetector::new(2);
+        let mut p = ReferenceProfile::new(2, 4);
+        for row in [[3.0, f64::NAN], [1.0, -0.0], [2.0, 0.0], [1.0, f64::INFINITY]] {
+            p.push(&row);
+        }
+        d.fit(&p);
+        assert_eq!(d.per_feature[0].values(), [1.0, 1.0, 2.0, 3.0]);
+        let second: Vec<u64> = d.per_feature[1].values().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(second, [(-0.0f64).to_bits(), 0.0f64.to_bits()]);
     }
 
     #[test]

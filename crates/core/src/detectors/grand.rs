@@ -88,10 +88,6 @@ impl Detector for GrandDetector {
         1
     }
 
-    fn channel_names(&self) -> Vec<String> {
-        vec![format!("grand-{}", self.ncm_kind.label())]
-    }
-
     fn fit(&mut self, reference: &ReferenceProfile) {
         assert_eq!(reference.dim(), self.dim, "profile width mismatch");
         let n = reference.len();
@@ -232,7 +228,6 @@ mod tests {
         let d = GrandDetector::new(2, GrandNcm::Lof, 3, 10);
         assert!(d.uses_constant_threshold());
         assert_eq!(d.n_channels(), 1);
-        assert_eq!(d.channel_names(), vec!["grand-lof"]);
     }
 
     #[test]

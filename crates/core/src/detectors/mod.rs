@@ -29,9 +29,6 @@ pub trait Detector: std::fmt::Debug + Send {
     /// emit one channel per input feature; Grand and TranAD emit one).
     fn n_channels(&self) -> usize;
 
-    /// Human-readable channel names for alarm attribution.
-    fn channel_names(&self) -> Vec<String>;
-
     /// Fits the detector on a completed reference profile.
     ///
     /// # Panics
@@ -153,16 +150,10 @@ impl DetectorKind {
         ]
     }
 
-    /// Builds the detector for inputs of width `dim` with the given
-    /// feature names.
-    pub fn build(
-        &self,
-        dim: usize,
-        names: &[String],
-        params: &DetectorParams,
-    ) -> Box<dyn Detector> {
+    /// Builds the detector for inputs of width `dim`.
+    pub fn build(&self, dim: usize, params: &DetectorParams) -> Box<dyn Detector> {
         match self {
-            DetectorKind::ClosestPair => Box::new(ClosestPairDetector::new(names)),
+            DetectorKind::ClosestPair => Box::new(ClosestPairDetector::new(dim)),
             DetectorKind::Grand(ncm) => Box::new(GrandDetector::new(
                 dim,
                 *ncm,
@@ -170,7 +161,38 @@ impl DetectorKind {
                 params.grand_martingale_window,
             )),
             DetectorKind::TranAd => Box::new(TranAdDetector::new(dim, params)),
-            DetectorKind::Xgboost => Box::new(XgboostDetector::new(names, params)),
+            DetectorKind::Xgboost => Box::new(XgboostDetector::new(dim, params)),
         }
+    }
+
+    /// Human-readable names of the score channels this detector emits for
+    /// inputs with the given feature names, for alarm attribution:
+    /// per-feature detectors name each channel after its feature, Grand
+    /// and TranAD emit one named channel.
+    pub fn channel_names(&self, features: &[String]) -> Vec<String> {
+        match self {
+            DetectorKind::ClosestPair | DetectorKind::Xgboost => features.to_vec(),
+            DetectorKind::Grand(ncm) => vec![format!("grand-{}", ncm.label())],
+            DetectorKind::TranAd => vec!["tranad-reconstruction".to_string()],
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn channel_names_match_the_built_channels() {
+        let features = ["x~y".to_string(), "x~z".to_string(), "y~z".to_string()];
+        let params = DetectorParams::default();
+        for kind in DetectorKind::all() {
+            let names = kind.channel_names(&features);
+            assert_eq!(names.len(), kind.build(features.len(), &params).n_channels(), "{kind:?}");
+        }
+        assert_eq!(DetectorKind::ClosestPair.channel_names(&features), features);
+        assert_eq!(DetectorKind::Xgboost.channel_names(&features), features);
+        assert_eq!(DetectorKind::Grand(GrandNcm::Lof).channel_names(&features), ["grand-lof"]);
+        assert_eq!(DetectorKind::TranAd.channel_names(&features), ["tranad-reconstruction"]);
     }
 }

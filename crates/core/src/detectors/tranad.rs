@@ -36,10 +36,6 @@ impl Detector for TranAdDetector {
         1
     }
 
-    fn channel_names(&self) -> Vec<String> {
-        vec!["tranad-reconstruction".to_string()]
-    }
-
     fn fit(&mut self, reference: &ReferenceProfile) {
         assert_eq!(reference.dim(), self.dim, "profile width mismatch");
         assert!(reference.len() >= self.cfg.window, "reference shorter than the TranAD window");
@@ -86,11 +82,12 @@ impl Detector for TranAdDetector {
         &mut self,
         r: &mut navarchos_stat::SnapReader<'_>,
     ) -> Result<(), navarchos_stat::SnapError> {
-        let buffer = r.get_f64_vec()?;
+        let buffer = r.get_f64_iter()?;
         if buffer.len() % self.dim != 0 || buffer.len() > self.cfg.window * self.dim {
             return Err(navarchos_stat::SnapError::Corrupt("TranAdDetector buffer mismatch"));
         }
-        self.buffer = buffer;
+        self.buffer.clear();
+        self.buffer.extend(buffer);
         Ok(())
     }
 }

@@ -11,7 +11,7 @@ use navarchos_gbdt::{GbdtParams, GbdtRegressor};
 /// Per-feature regression-loss detector.
 #[derive(Debug)]
 pub struct XgboostDetector {
-    names: Vec<String>,
+    dim: usize,
     params: GbdtParams,
     /// `models[j]` predicts feature j from the remaining features.
     models: Vec<GbdtRegressor>,
@@ -19,11 +19,11 @@ pub struct XgboostDetector {
 }
 
 impl XgboostDetector {
-    /// Creates an unfitted detector for the named features.
-    pub fn new<S: AsRef<str>>(names: &[S], params: &DetectorParams) -> Self {
-        assert!(names.len() >= 2, "per-feature regression needs at least 2 features");
+    /// Creates an unfitted detector for `dim` features.
+    pub fn new(dim: usize, params: &DetectorParams) -> Self {
+        assert!(dim >= 2, "per-feature regression needs at least 2 features");
         XgboostDetector {
-            names: names.iter().map(|s| s.as_ref().to_string()).collect(),
+            dim,
             params: GbdtParams {
                 n_rounds: params.xgb_rounds,
                 max_depth: params.xgb_depth,
@@ -44,15 +44,11 @@ impl XgboostDetector {
 
 impl Detector for XgboostDetector {
     fn n_channels(&self) -> usize {
-        self.names.len()
-    }
-
-    fn channel_names(&self) -> Vec<String> {
-        self.names.clone()
+        self.dim
     }
 
     fn fit(&mut self, reference: &ReferenceProfile) {
-        let f = self.names.len();
+        let f = self.dim;
         assert_eq!(reference.dim(), f, "profile width mismatch");
         assert!(reference.len() >= 4, "reference too small for regression");
         let n = reference.len();
@@ -72,12 +68,12 @@ impl Detector for XgboostDetector {
     }
 
     fn score(&mut self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.names.len());
+        debug_assert_eq!(x.len(), self.dim);
         if self.models.is_empty() {
-            return vec![f64::NAN; self.names.len()];
+            return vec![f64::NAN; self.dim];
         }
-        let mut out = Vec::with_capacity(self.names.len());
-        for j in 0..self.names.len() {
+        let mut out = Vec::with_capacity(self.dim);
+        for j in 0..self.dim {
             self.inputs_without(x, j);
             let model = &self.models[j];
             out.push((model.predict(&self.scratch) - x[j]).abs());
@@ -97,6 +93,7 @@ impl Detector for XgboostDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detectors::DetectorKind;
 
     /// Reference with exact structure: b = 2a, c = a + 1.
     fn structured_profile(n: usize) -> ReferenceProfile {
@@ -109,7 +106,7 @@ mod tests {
     }
 
     fn quick() -> XgboostDetector {
-        let mut d = XgboostDetector::new(&["a", "b", "c"], &DetectorParams::default());
+        let mut d = XgboostDetector::new(3, &DetectorParams::default());
         d.fit(&structured_profile(200));
         d
     }
@@ -133,7 +130,7 @@ mod tests {
 
     #[test]
     fn unfitted_and_reset() {
-        let mut d = XgboostDetector::new(&["a", "b", "c"], &DetectorParams::default());
+        let mut d = XgboostDetector::new(3, &DetectorParams::default());
         assert!(!d.is_fitted());
         assert!(d.score(&[0.0; 3]).iter().all(|v| v.is_nan()));
         d.fit(&structured_profile(50));
@@ -144,14 +141,14 @@ mod tests {
 
     #[test]
     fn channels_match_features() {
-        let d = XgboostDetector::new(&["x", "y", "z"], &DetectorParams::default());
-        assert_eq!(d.n_channels(), 3);
-        assert_eq!(d.channel_names(), vec!["x", "y", "z"]);
+        let features = ["x".to_string(), "y".to_string(), "z".to_string()];
+        assert_eq!(DetectorKind::Xgboost.channel_names(&features), features);
+        assert_eq!(XgboostDetector::new(3, &DetectorParams::default()).n_channels(), 3);
     }
 
     #[test]
     #[should_panic]
     fn single_feature_panics() {
-        XgboostDetector::new(&["only"], &DetectorParams::default());
+        XgboostDetector::new(1, &DetectorParams::default());
     }
 }

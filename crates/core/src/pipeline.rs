@@ -76,7 +76,8 @@ impl PipelineConfig {
     /// pipeline of this configuration attributes its alarms to, for records
     /// with the given column names: what [`Alarm::channel`] indexes.
     pub fn channel_names(&self, input_names: &[String]) -> Vec<String> {
-        Scorer::new(input_names, self.clone()).detector.channel_names()
+        let transform = self.transform.build(input_names, self.window, self.stride);
+        self.detector.channel_names(&transform.output_names())
     }
 }
 
@@ -187,7 +188,7 @@ impl Scorer {
     pub(crate) fn new(input_names: &[String], cfg: PipelineConfig) -> Scorer {
         let transform = cfg.transform.build(input_names, cfg.window, cfg.stride);
         let dim = transform.output_dim();
-        let detector = cfg.detector.build(dim, &transform.output_names(), &cfg.detector_params);
+        let detector = cfg.detector.build(dim, &cfg.detector_params);
         Scorer {
             row_filter: cfg.filter.resolve(input_names),
             profile: ReferenceProfile::new(dim, cfg.profile_length),
@@ -398,7 +399,9 @@ impl Drop for PipelineStats {
 pub struct StreamingPipeline {
     core: Scorer,
     threshold: SelfTuningThreshold,
-    channel_names: Vec<String>,
+    /// What [`Alarm::channel`] indexes: one table, shared by every lane of
+    /// an ingest engine.
+    channel_names: Arc<[String]>,
     /// Emissions since the detector last fit (the profile-age gauge).
     emissions_since_refit: u64,
     /// Mean tuned threshold of the reference the last reset discarded,
@@ -410,7 +413,9 @@ pub struct StreamingPipeline {
 impl StreamingPipeline {
     /// Creates the pipeline for records with the given column names.
     pub fn new<S: AsRef<str>>(input_names: &[S], cfg: PipelineConfig) -> Self {
-        Self::new_scoped(input_names, cfg, None)
+        let input_names: Vec<String> = input_names.iter().map(|s| s.as_ref().to_string()).collect();
+        let channel_names = cfg.channel_names(&input_names).into();
+        Self::new_scoped(&input_names, cfg, None, channel_names)
     }
 
     /// Like [`StreamingPipeline::new`], but telemetry that is meaningless
@@ -418,18 +423,25 @@ impl StreamingPipeline {
     /// profile-age / retune gauges) is minted under
     /// `pipeline.<scope>.<metric>` instead of the plain names. The ingest
     /// engine passes the vehicle label here so fleet dashboards get one
-    /// gauge family per vehicle.
-    pub fn new_scoped<S: AsRef<str>>(
-        input_names: &[S],
+    /// gauge family per vehicle, and every lane shares the one
+    /// `channel_names` table ([`PipelineConfig::channel_names`]) that the
+    /// engine builds.
+    ///
+    /// # Panics
+    /// Panics if `channel_names` does not name every score channel.
+    pub fn new_scoped(
+        input_names: &[String],
         cfg: PipelineConfig,
         scope: Option<&str>,
+        channel_names: Arc<[String]>,
     ) -> Self {
-        let input_names: Vec<String> = input_names.iter().map(|s| s.as_ref().to_string()).collect();
         let factor = cfg.threshold_factor;
-        let core = Scorer::new(&input_names, cfg);
+        let core = Scorer::new(input_names, cfg);
+        let n_channels = core.detector.n_channels();
+        assert_eq!(channel_names.len(), n_channels, "channel table does not fit the detector");
         StreamingPipeline {
-            threshold: SelfTuningThreshold::new(core.detector.n_channels(), factor),
-            channel_names: core.detector.channel_names(),
+            threshold: SelfTuningThreshold::new(n_channels, factor),
+            channel_names,
             core,
             emissions_since_refit: 0,
             prior_threshold_mean: None,
@@ -904,7 +916,9 @@ mod tests {
     fn scoped_pipeline_keeps_per_vehicle_sketch_and_gauges() {
         obs::set_metrics_enabled(true);
         let cfg = tiny_pipeline().core.cfg;
-        let mut p = StreamingPipeline::new_scoped(&["a", "b"], cfg, Some("v99"));
+        let names = ["a".to_string(), "b".to_string()];
+        let channels = cfg.channel_names(&names).into();
+        let mut p = StreamingPipeline::new_scoped(&names, cfg, Some("v99"), channels);
         feed_healthy(&mut p, 0, 200);
         p.flush_obs();
         let scoped = obs::sketch("pipeline.v99.score").snapshot();
@@ -918,7 +932,9 @@ mod tests {
     fn retune_delta_measures_against_the_discarded_reference() {
         obs::set_metrics_enabled(true);
         let cfg = tiny_pipeline().core.cfg;
-        let mut p = StreamingPipeline::new_scoped(&["a", "b"], cfg, Some("v98"));
+        let names = ["a".to_string(), "b".to_string()];
+        let channels = cfg.channel_names(&names).into();
+        let mut p = StreamingPipeline::new_scoped(&names, cfg, Some("v98"), channels);
         feed_healthy(&mut p, 0, 200);
         p.process_event(false);
         // A noisier relationship after the service tunes a different bar.

@@ -131,11 +131,13 @@ impl navarchos_stat::Restore for ReferenceProfile {
         if dim != self.dim || capacity != self.capacity {
             return Err(navarchos_stat::SnapError::Corrupt("ReferenceProfile shape mismatch"));
         }
-        let data = r.get_f64_vec()?;
+        // Into the buffer `new` sized for a full profile.
+        let data = r.get_f64_iter()?;
         if data.len() % dim != 0 || data.len() > dim * capacity {
             return Err(navarchos_stat::SnapError::Corrupt("ReferenceProfile data mismatch"));
         }
-        self.data = data;
+        self.data.clear();
+        self.data.extend(data);
         Ok(())
     }
 }

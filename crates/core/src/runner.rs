@@ -285,7 +285,7 @@ pub fn run_vehicle(
         timestamps,
         scores,
         n_channels,
-        channel_names: core.detector.channel_names(),
+        channel_names: core.cfg.channel_names(frame.names()),
         segments,
         contexts,
         constant_threshold: core.detector.uses_constant_threshold(),

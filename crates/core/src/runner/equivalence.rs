@@ -23,10 +23,9 @@ fn standalone_run(
     let row_filter = cfg.filter.resolve(input_names);
     let mut transform = cfg.transform.build(input_names, cfg.window, cfg.stride);
     let dim = transform.output_dim();
-    let names = transform.output_names();
-    let mut detector = cfg.detector.build(dim, &names, &cfg.detector_params);
+    let mut detector = cfg.detector.build(dim, &cfg.detector_params);
     let n_channels = detector.n_channels();
-    let channel_names = detector.channel_names();
+    let channel_names = cfg.detector.channel_names(&transform.output_names());
     let constant_threshold = detector.uses_constant_threshold();
 
     let mut profile = ReferenceProfile::new(dim, cfg.profile_length);

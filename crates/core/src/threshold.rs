@@ -129,11 +129,7 @@ impl Restore for SelfTuningThreshold {
         for st in &mut self.stats {
             st.read_state(r)?;
         }
-        let thresholds = r.get_f64_vec()?;
-        if thresholds.len() != self.thresholds.len() {
-            return Err(SnapError::Corrupt("SelfTuningThreshold threshold count mismatch"));
-        }
-        self.thresholds = thresholds;
+        r.get_f64_exact(&mut self.thresholds, "SelfTuningThreshold threshold count mismatch")?;
         self.fitted = r.get_bool()?;
         Ok(())
     }

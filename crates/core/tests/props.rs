@@ -195,7 +195,7 @@ mod detector_props {
             rows in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0, -50.0f64..50.0), 4..48),
             query in (-80.0f64..80.0, -80.0f64..80.0, -80.0f64..80.0),
         ) {
-            let mut d = ClosestPairDetector::new(&["a", "b", "c"]);
+            let mut d = ClosestPairDetector::new(3);
             prop_assert!(d.score(&[query.0, query.1, query.2]).iter().all(|v| v.is_nan()));
             d.fit(&profile_from(&rows));
             let s = d.score(&[query.0, query.1, query.2]);
@@ -234,7 +234,7 @@ mod detector_props {
             rows in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0, -5.0f64..5.0), 8..24),
             query in (-10.0f64..10.0, -10.0f64..10.0, -10.0f64..10.0),
         ) {
-            let mut d = XgboostDetector::new(&["a", "b", "c"], &DetectorParams::default());
+            let mut d = XgboostDetector::new(3, &DetectorParams::default());
             d.fit(&profile_from(&rows));
             let s = d.score(&[query.0, query.1, query.2]);
             prop_assert_eq!(s.len(), 3);

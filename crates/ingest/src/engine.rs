@@ -33,6 +33,8 @@
 //! Without the opt-in the per-record path reads no clock, in-flight items
 //! carry arrival stamp 0 and the engine holds no provenance at all.
 
+use std::sync::Arc;
+
 use navarchos_core::pipeline::{Alarm, PipelineConfig, StreamingPipeline};
 use navarchos_core::{par_map_mut, DetectorKind, TransformKind};
 use navarchos_fleetsim::{StreamBody, StreamItem};
@@ -87,11 +89,26 @@ fn write_arrival(w: &mut SnapWriter, a: &Arrival) {
     w.put_u64(a.arrival_ns);
 }
 
-fn read_arrival(r: &mut SnapReader<'_>) -> Result<Arrival, SnapError> {
+/// Counterpart of [`write_arrival`] for an engine whose records carry
+/// `n_signals` values. Validation dead-letters every record of another
+/// arity or with a non-finite value before it is buffered, so no real
+/// checkpoint holds one in flight; such a record is refused as corrupt
+/// rather than handed to a pipeline that cannot take it.
+fn read_arrival(r: &mut SnapReader<'_>, n_signals: usize) -> Result<Arrival, SnapError> {
     let vehicle = r.get_u32()?;
     let timestamp = r.get_i64()?;
     let body = match r.get_u8()? {
-        0 => StreamBody::Record(r.get_f64_vec()?),
+        0 => {
+            let row = r.get_f64_iter()?;
+            if row.len() != n_signals {
+                return Err(SnapError::Corrupt("in-flight record of the wrong arity"));
+            }
+            let row: Vec<f64> = row.collect();
+            if row.iter().any(|v| !v.is_finite()) {
+                return Err(SnapError::Corrupt("in-flight record with a non-finite value"));
+            }
+            StreamBody::Record(row)
+        }
         1 => StreamBody::Maintenance { is_repair: r.get_bool()? },
         _ => return Err(SnapError::Corrupt("unknown stream-body tag")),
     };
@@ -442,6 +459,8 @@ fn to_milli(v: f64) -> u64 {
 struct Shard {
     index: usize,
     names: Vec<String>,
+    /// The engine's score-channel table, shared with every lane.
+    channel_names: Arc<[String]>,
     cfg: IngestConfig,
     /// Lanes sorted by vehicle id for binary-search lookup.
     lanes: Vec<Lane>,
@@ -460,10 +479,16 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(index: usize, names: Vec<String>, cfg: IngestConfig) -> Self {
+    fn new(
+        index: usize,
+        names: Vec<String>,
+        channel_names: Arc<[String]>,
+        cfg: IngestConfig,
+    ) -> Self {
         Shard {
             index,
             names,
+            channel_names,
             cfg,
             lanes: Vec::new(),
             quality: Vec::new(),
@@ -476,22 +501,26 @@ impl Shard {
         }
     }
 
+    /// A fresh lane for `vehicle`, built from this shard's config.
+    fn new_lane(&self, vehicle: u32) -> Lane {
+        Lane {
+            vehicle,
+            buffer: ReorderBuffer::new(self.cfg.horizon_s, self.cfg.reorder_capacity),
+            pipeline: StreamingPipeline::new_scoped(
+                &self.names,
+                self.cfg.pipeline.clone(),
+                Some(&format!("v{vehicle:02}")),
+                Arc::clone(&self.channel_names),
+            ),
+        }
+    }
+
     fn lane_index(&mut self, vehicle: u32) -> usize {
         match self.lanes.binary_search_by_key(&vehicle, |l| l.vehicle) {
             Ok(i) => i,
             Err(i) => {
-                self.lanes.insert(
-                    i,
-                    Lane {
-                        vehicle,
-                        buffer: ReorderBuffer::new(self.cfg.horizon_s, self.cfg.reorder_capacity),
-                        pipeline: StreamingPipeline::new_scoped(
-                            &self.names,
-                            self.cfg.pipeline.clone(),
-                            Some(&format!("v{vehicle:02}")),
-                        ),
-                    },
-                );
+                let lane = self.new_lane(vehicle);
+                self.lanes.insert(i, lane);
                 i
             }
         }
@@ -650,29 +679,23 @@ impl Shard {
     }
 
     /// Reconstructs a lane from [`Shard::write_lane`] bytes and inserts it
-    /// in vehicle order. The buffer and pipeline are built fresh from this
-    /// shard's config, then overwritten with the serialised state.
+    /// in vehicle order. The lane is built once from this shard's config,
+    /// and the serialised state is read into it in place.
     fn read_lane(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let vehicle = r.get_u32()?;
-        let mut buffer = ReorderBuffer::new(self.cfg.horizon_s, self.cfg.reorder_capacity);
+        let Err(i) = self.lanes.binary_search_by_key(&vehicle, |l| l.vehicle) else {
+            return Err(SnapError::Corrupt("duplicate lane for one vehicle"));
+        };
+        let mut lane = self.new_lane(vehicle);
+        let n_signals = self.names.len();
         let mut frame = r.get_frame()?;
-        buffer.read_state_with(&mut frame, read_arrival)?;
+        lane.buffer.read_state_with(&mut frame, |r| read_arrival(r, n_signals))?;
         frame.finish()?;
-        let mut pipeline = StreamingPipeline::new_scoped(
-            &self.names,
-            self.cfg.pipeline.clone(),
-            Some(&format!("v{vehicle:02}")),
-        );
         let mut frame = r.get_frame()?;
-        pipeline.read_state(&mut frame)?;
+        lane.pipeline.read_state(&mut frame)?;
         frame.finish()?;
-        match self.lanes.binary_search_by_key(&vehicle, |l| l.vehicle) {
-            Ok(_) => Err(SnapError::Corrupt("duplicate lane for one vehicle")),
-            Err(i) => {
-                self.lanes.insert(i, Lane { vehicle, buffer, pipeline });
-                Ok(())
-            }
-        }
+        self.lanes.insert(i, lane);
+        Ok(())
     }
 
     fn write_quality(q: &QualityLane, w: &mut SnapWriter) {
@@ -767,8 +790,8 @@ pub struct ShardedIngest {
     shards: Vec<Shard>,
     health: Vec<ShardHealth>,
     /// The score-channel names every lane's pipeline attributes alarms
-    /// to, built once from the config.
-    channel_names: Vec<String>,
+    /// to, built once from the config and shared with every lane.
+    channel_names: Arc<[String]>,
     /// Fleet-level worst per-vehicle drift, in milli-z.
     worst_drift: std::sync::Arc<obs::Gauge>,
     finished: bool,
@@ -781,8 +804,10 @@ impl ShardedIngest {
         let names: Vec<String> = names.iter().map(|s| s.as_ref().to_string()).collect();
         let router = ShardRouter::new(cfg.n_shards);
         let health = (0..cfg.n_shards).map(|_| ShardHealth::new(cfg.health)).collect();
-        let channel_names = cfg.pipeline.channel_names(&names);
-        let shards = (0..cfg.n_shards).map(|i| Shard::new(i, names.clone(), cfg.clone())).collect();
+        let channel_names: Arc<[String]> = cfg.pipeline.channel_names(&names).into();
+        let shards = (0..cfg.n_shards)
+            .map(|i| Shard::new(i, names.clone(), Arc::clone(&channel_names), cfg.clone()))
+            .collect();
         ShardedIngest {
             router,
             shards,
@@ -1326,6 +1351,44 @@ mod tests {
         assert!(engine.stats().quality_flagged > 0, "drift must flag");
         let (_, snap) = engine.quality_snapshots()[0];
         assert!(snap.max_drift_z > 4.0, "drift z {}", snap.max_drift_z);
+    }
+
+    /// A checkpoint may not hold an in-flight record that validation
+    /// would have dead-lettered. Restored, one value too many would reach
+    /// the raw transform's row copy at the next `finish` and panic there.
+    #[test]
+    fn impossible_in_flight_records_are_refused_on_restore() {
+        use crate::checkpoint::{read_checkpoint, write_checkpoint};
+        let mut cfg = tiny_config(1);
+        cfg.pipeline.transform = TransformKind::Raw;
+        cfg.pipeline.window = 1;
+        cfg.pipeline.stride = 1;
+        for (row, why) in [
+            (vec![1.0, 2.0, 3.0], "in-flight record of the wrong arity"),
+            (vec![f64::NAN, 2.0], "in-flight record with a non-finite value"),
+        ] {
+            let mut engine = ShardedIngest::new(&["a", "b"], cfg.clone());
+            let _ = engine.ingest(StreamItem {
+                vehicle: 1,
+                timestamp: 0,
+                body: StreamBody::Record(vec![1.0, 2.0]),
+            });
+            // Buffered behind validation's back, as a corrupt file would.
+            let item = StreamItem { vehicle: 1, timestamp: 60, body: StreamBody::Record(row) };
+            let mut released = Vec::new();
+            let lane = &mut engine.shards[0].lanes[0];
+            let _ = lane.buffer.push(Arrival { item, arrival_ns: 0 }, &mut released);
+            assert!(released.is_empty() && lane.buffer.len() == 2, "both records in flight");
+            let bytes = write_checkpoint(&engine, 2, &[]);
+            match read_checkpoint(&["a", "b"], cfg.clone(), &bytes) {
+                Err(SnapError::Corrupt(got)) => assert_eq!(got, why),
+                Err(other) => panic!("expected {why:?}, got {other:?}"),
+                Ok(mut restored) => {
+                    let _ = restored.engine.finish();
+                    panic!("restored a checkpoint holding an {why}");
+                }
+            }
+        }
     }
 
     #[test]

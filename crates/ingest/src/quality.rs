@@ -501,82 +501,74 @@ impl Restore for QualityMonitor {
             return Err(SnapError::Corrupt("quality monitor channel-count mismatch"));
         }
         let window = self.cfg.window;
-        let mut channels = Vec::with_capacity(width);
-        let mut cells = vec![0.0; window * width];
         let mut rows = None;
         let mut missing = 0;
-        for c in 0..width {
-            let mut ch = ChannelQuality::new();
+        // The rings restore into the buffers `new` sized: channel c's
+        // cells are every `width`-th one from slot 0 on.
+        for (c, ch) in self.channels.iter_mut().enumerate() {
+            *ch = ChannelQuality::new();
             ch.ref_count = r.get_usize()?;
             ch.ref_mean = r.get_f64()?;
             ch.ref_m2 = r.get_f64()?;
             ch.ref_min = r.get_f64()?;
             ch.ref_max = r.get_f64()?;
             let frozen = r.get_bool()?;
-            let column = r.get_f64_vec()?;
-            if column.len() > window {
+            let column = r.get_f64_iter()?;
+            let len = column.len();
+            if len > window {
                 return Err(SnapError::Corrupt("quality ring larger than the window"));
             }
             // Every record lands in every channel's ring, so the rings
             // are one window of rows; unequal lengths are no real state.
-            if *rows.get_or_insert(column.len()) != column.len() {
+            if *rows.get_or_insert(len) != len {
                 return Err(SnapError::Corrupt("quality rings of unequal length"));
+            }
+            let mut nan_cells = 0;
+            for (cell, v) in self.cells.iter_mut().skip(c).step_by(width).zip(column) {
+                nan_cells += usize::from(!v.is_finite());
+                *cell = v;
             }
             ch.finite_sum = r.get_f64()?;
             ch.finite_count = r.get_usize()?;
             let nan_count = r.get_usize()?;
-            if ch.finite_count.checked_add(nan_count) != Some(column.len()) {
+            if ch.finite_count.checked_add(nan_count) != Some(len) {
                 return Err(SnapError::Corrupt("quality ring counts disagree with its length"));
             }
-            if column.iter().filter(|v| !v.is_finite()).count() != nan_count {
+            if nan_cells != nan_count {
                 return Err(SnapError::Corrupt("quality ring counts disagree with its cells"));
-            }
-            for (k, v) in column.into_iter().enumerate() {
-                cells[k * width + c] = v;
             }
             if frozen {
                 ch.freeze();
             }
             missing += nan_count;
-            channels.push(ch);
         }
-        let records = r.get_u64()?;
-        let last_ts = r.get_opt_i64()?;
+        self.records = r.get_u64()?;
+        self.last_ts = r.get_opt_i64()?;
         let n_warmup = r.get_len(8)?;
         if n_warmup > self.cfg.reference_len {
             return Err(SnapError::Corrupt("cadence warm-up larger than the reference"));
         }
-        let mut warmup_dts = Vec::with_capacity(n_warmup);
+        // `new` reserved room for the whole warm-up; clearing keeps it.
+        self.warmup_dts.clear();
         for _ in 0..n_warmup {
-            warmup_dts.push(r.get_i64()?);
+            self.warmup_dts.push(r.get_i64()?);
         }
-        let median_dt = r.get_opt_i64()?;
-        if median_dt.is_none() {
-            // Room for the rest of the warm-up, as `new` reserves it.
-            warmup_dts.reserve_exact(self.cfg.reference_len.max(1) - n_warmup);
-        }
+        self.median_dt = r.get_opt_i64()?;
         let n_gaps = r.get_len(1)?;
         if n_gaps > window {
             return Err(SnapError::Corrupt("gap ring larger than the window"));
         }
-        let mut gaps = vec![false; window];
-        for g in gaps.iter_mut().take(n_gaps) {
+        self.gaps.fill(false);
+        for g in self.gaps.iter_mut().take(n_gaps) {
             *g = r.get_bool()?;
         }
         let gap_count = r.get_usize()?;
-        if gap_count != gaps.iter().filter(|g| **g).count() {
+        if gap_count != self.gaps.iter().filter(|g| **g).count() {
             return Err(SnapError::Corrupt("gap count disagrees with the gap ring"));
         }
-        self.frozen = channels.iter().filter(|c| c.frozen).count();
-        self.channels = channels;
-        self.cells = cells;
+        self.frozen = self.channels.iter().filter(|c| c.frozen).count();
         self.rows = RingIndex::new(window, rows.unwrap_or(0));
         self.missing = missing;
-        self.records = records;
-        self.last_ts = last_ts;
-        self.warmup_dts = warmup_dts;
-        self.median_dt = median_dt;
-        self.gaps = gaps;
         self.gap_slots = RingIndex::new(window, n_gaps);
         self.gap_count = gap_count;
         Ok(())

@@ -134,7 +134,7 @@ impl ChannelQuality {
         let ref_min = r.get_f64()?;
         let ref_max = r.get_f64()?;
         let frozen = r.get_bool()?;
-        let ring = r.get_f64_vec()?;
+        let ring: Vec<f64> = r.get_f64_iter()?.collect();
         if ring.len() > window {
             return Err(SnapError::Corrupt("quality ring larger than the window"));
         }

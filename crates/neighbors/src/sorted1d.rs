@@ -8,6 +8,14 @@
 //! sample. This data structure is why Closest-pair is an order of magnitude
 //! faster in Table 1 of the paper.
 
+/// The integer that `f64::total_cmp` orders the float with bits `bits`
+/// by: the magnitude bits of a negative value flipped, so that signed
+/// integer order is float order. The map is its own inverse.
+fn total_key(bits: u64) -> i64 {
+    let bits = bits as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// Sorted reference values for one feature.
 ///
 /// ```
@@ -30,6 +38,24 @@ impl SortedNeighbors {
         let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
         v.sort_by(|a, b| a.total_cmp(b));
         SortedNeighbors { values: v }
+    }
+
+    /// The same reference as [`SortedNeighbors::new`], built in the
+    /// caller's buffer: no second copy, no second allocation. The finite
+    /// values are sorted as the integer keys that `f64::total_cmp`
+    /// compares. An integer sort is cheaper than a comparator that
+    /// rebuilds both keys at every comparison, and keys that compare equal
+    /// come from equal bits, so the order is the one `new`'s stable sort
+    /// gives. Mapping the keys back restores every value's bits.
+    pub fn from_vec(values: Vec<f64>) -> Self {
+        // Both maps between f64 and i64 reuse the buffer (same size and
+        // alignment).
+        let mut keys: Vec<i64> =
+            values.into_iter().filter(|x| x.is_finite()).map(|x| total_key(x.to_bits())).collect();
+        keys.sort_unstable();
+        SortedNeighbors {
+            values: keys.into_iter().map(|k| f64::from_bits(total_key(k as u64) as u64)).collect(),
+        }
     }
 
     /// Number of reference values retained.
@@ -123,6 +149,15 @@ mod tests {
             let brute = reference.iter().map(|&v| (v - q).abs()).fold(f64::INFINITY, f64::min);
             assert!((s.nearest_distance(q) - brute).abs() < 1e-12, "q={q}");
         }
+    }
+
+    #[test]
+    fn from_vec_keeps_the_callers_buffer() {
+        let v = vec![3.0, f64::NAN, -1.0, 2.0];
+        let at = v.as_ptr();
+        let s = SortedNeighbors::from_vec(v);
+        assert_eq!(s.values(), [-1.0, 2.0, 3.0]);
+        assert_eq!(s.values().as_ptr(), at, "sorted in place, no second allocation");
     }
 
     #[test]

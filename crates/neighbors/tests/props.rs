@@ -81,7 +81,32 @@ fn knn_case<S: Strategy<Value = f64>>(
     })
 }
 
+/// A reference value that is often special: NaN, a signed zero, an
+/// infinity or one of two repeated values, else a finite draw.
+fn special_or_finite() -> impl Strategy<Value = f64> {
+    (0u8..10, -1000.0f64..1000.0).prop_map(|(pick, x)| match pick {
+        0 => f64::NAN,
+        1 => -0.0,
+        2 => 0.0,
+        3 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        5 => 7.5,
+        6 => -7.5,
+        _ => x,
+    })
+}
+
 proptest! {
+    #[test]
+    fn sorted_1d_from_vec_matches_new_bit_for_bit(
+        reference in prop::collection::vec(special_or_finite(), 0..256),
+    ) {
+        let built = SortedNeighbors::new(&reference);
+        let owned = SortedNeighbors::from_vec(reference);
+        let bits = |s: &SortedNeighbors| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&owned), bits(&built));
+    }
+
     #[test]
     fn sorted_1d_matches_linear_scan(
         reference in prop::collection::vec(-1000.0f64..1000.0, 1..128),

@@ -198,18 +198,16 @@ impl Restore for IncrementalMean {
         if width != self.width {
             return Err(SnapError::Corrupt("IncrementalMean width mismatch"));
         }
-        let rows = r.get_f64_vec()?;
-        let pivot = r.get_f64_vec()?;
-        let sum = r.get_f64_vec()?;
-        let evictions = r.get_usize()?;
-        if rows.len() % width != 0 || pivot.len() != width || sum.len() != width {
-            return Err(SnapError::Corrupt("IncrementalMean state shape mismatch"));
+        let shape = "IncrementalMean state shape mismatch";
+        let rows = r.get_f64_iter()?;
+        if rows.len() % width != 0 {
+            return Err(SnapError::Corrupt(shape));
         }
         self.rows.clear();
         self.rows.extend(rows);
-        self.pivot = pivot;
-        self.sum = sum;
-        self.evictions = evictions;
+        r.get_f64_exact(&mut self.pivot, shape)?;
+        r.get_f64_exact(&mut self.sum, shape)?;
+        self.evictions = r.get_usize()?;
         Ok(())
     }
 }
@@ -233,30 +231,19 @@ impl Restore for IncrementalPearson {
         if n_signals != self.n_signals {
             return Err(SnapError::Corrupt("IncrementalPearson width mismatch"));
         }
-        let rows = r.get_f64_vec()?;
-        let pivot = r.get_f64_vec()?;
-        let sum = r.get_f64_vec()?;
-        let sum_sq = r.get_f64_vec()?;
-        let sum_xy = r.get_f64_vec()?;
-        let energy = r.get_f64_vec()?;
-        let evictions = r.get_usize()?;
-        if rows.len() % n_signals != 0
-            || pivot.len() != n_signals
-            || sum.len() != n_signals
-            || sum_sq.len() != n_signals
-            || energy.len() != n_signals
-            || sum_xy.len() != self.n_pairs
-        {
-            return Err(SnapError::Corrupt("IncrementalPearson state shape mismatch"));
+        let shape = "IncrementalPearson state shape mismatch";
+        let rows = r.get_f64_iter()?;
+        if rows.len() % n_signals != 0 {
+            return Err(SnapError::Corrupt(shape));
         }
         self.rows.clear();
         self.rows.extend(rows);
-        self.pivot = pivot;
-        self.sum = sum;
-        self.sum_sq = sum_sq;
-        self.sum_xy = sum_xy;
-        self.energy = energy;
-        self.evictions = evictions;
+        r.get_f64_exact(&mut self.pivot, shape)?;
+        r.get_f64_exact(&mut self.sum, shape)?;
+        r.get_f64_exact(&mut self.sum_sq, shape)?;
+        r.get_f64_exact(&mut self.sum_xy, shape)?;
+        r.get_f64_exact(&mut self.energy, shape)?;
+        self.evictions = r.get_usize()?;
         Ok(())
     }
 }

@@ -141,20 +141,21 @@ impl crate::snapshot::Restore for PowerMartingale {
         r: &mut crate::snapshot::SnapReader<'_>,
     ) -> Result<(), crate::snapshot::SnapError> {
         let log_m = r.get_f64()?;
-        let history = r.get_f64_vec()?;
+        let history = r.get_f64_iter()?;
         if let Some(w) = self.window {
             if history.len() > w {
                 return Err(crate::snapshot::SnapError::Corrupt(
                     "PowerMartingale history exceeds window",
                 ));
             }
-        } else if !history.is_empty() {
+        } else if history.len() != 0 {
             return Err(crate::snapshot::SnapError::Corrupt(
                 "PowerMartingale history without a window",
             ));
         }
         self.log_m = log_m;
-        self.history = history;
+        self.history.clear();
+        self.history.extend(history);
         Ok(())
     }
 }

@@ -228,40 +228,109 @@ const fn crc32_tables() -> [[u32; 256]; CRC32_SLICES] {
 /// value and final XOR `0xFFFF_FFFF`): the integrity trailer of every
 /// checkpoint. `crc32(b"123456789") == 0xCBF4_3926`.
 ///
-/// Table-driven slicing-by-16: each step folds 16 input bytes through 16
-/// lookups into 16 KiB of compile-time tables, and the tail goes one
-/// byte at a time through the first table. Over a 7.36 MB buffer (the
-/// serve-dirty benchmark's midpoint checkpoint) on a 2-vCPU x86-64 host,
-/// best of 20 runs: 1.6–1.7 GB/s, against 1.24–1.28 GB/s for
-/// slicing-by-8 and 0.15 GB/s for the bitwise loop this replaced, which
-/// spent about 50 ms of every write and every restore of that checkpoint.
+/// Four-stream slicing-by-16. The buffer splits into four quarters of
+/// whole 16-byte blocks, the last quarter followed by the short rest. One
+/// loop folds a block of every quarter per step, each through 16 lookups
+/// into 16 KiB of compile-time tables. The four CRC registers are
+/// independent dependency chains, so their lookups overlap instead of
+/// waiting on one another. [`crc32_combine`] then joins the four CRCs.
+/// Over a 7.36 MB buffer (the serve-dirty benchmark's midpoint
+/// checkpoint) on a 2-vCPU x86-64 host, best of 20 runs in six rounds:
+/// 3.0–4.6 GB/s, against 1.86–1.96 GB/s for one slicing-by-16 stream in
+/// the same rounds. Slicing-by-8 ran at 1.24–1.28 GB/s and the bitwise
+/// loop at 0.15 GB/s on that host.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let quarter = bytes.len() / (4 * CRC32_SLICES) * CRC32_SLICES;
+    let (q0, rest) = bytes.split_at(quarter);
+    let (q1, rest) = rest.split_at(quarter);
+    let (q2, rest) = rest.split_at(quarter);
+    let (q3, tail) = rest.split_at(quarter);
+    let (mut r0, mut r1, mut r2, mut r3) = (!0u32, !0u32, !0u32, !0u32);
+    let steps = q0.chunks_exact(CRC32_SLICES).zip(q1.chunks_exact(CRC32_SLICES));
+    let steps = steps.zip(q2.chunks_exact(CRC32_SLICES)).zip(q3.chunks_exact(CRC32_SLICES));
+    for (((b0, b1), b2), b3) in steps {
+        r0 = crc32_block(r0, b0);
+        r1 = crc32_block(r1, b1);
+        r2 = crc32_block(r2, b2);
+        r3 = crc32_block(r3, b3);
+    }
+    let last = !crc32_update(r3, tail);
+    let head = crc32_combine(crc32_combine(!r0, !r1, quarter), !r2, quarter);
+    crc32_combine(head, last, quarter + tail.len())
+}
+
+/// The CRC register after folding one 16-byte block into `crc`.
+#[inline(always)]
+fn crc32_block(crc: u32, b: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
+    let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    t[15][usize::from(lo as u8)]
+        ^ t[14][usize::from((lo >> 8) as u8)]
+        ^ t[13][usize::from((lo >> 16) as u8)]
+        ^ t[12][usize::from((lo >> 24) as u8)]
+        ^ t[11][usize::from(b[4])]
+        ^ t[10][usize::from(b[5])]
+        ^ t[9][usize::from(b[6])]
+        ^ t[8][usize::from(b[7])]
+        ^ t[7][usize::from(b[8])]
+        ^ t[6][usize::from(b[9])]
+        ^ t[5][usize::from(b[10])]
+        ^ t[4][usize::from(b[11])]
+        ^ t[3][usize::from(b[12])]
+        ^ t[2][usize::from(b[13])]
+        ^ t[1][usize::from(b[14])]
+        ^ t[0][usize::from(b[15])]
+}
+
+/// The CRC register after folding `bytes` into `crc`: whole blocks, then
+/// the rest one byte at a time through the first table.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut blocks = bytes.chunks_exact(CRC32_SLICES);
     for b in &mut blocks {
-        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        crc = t[15][usize::from(lo as u8)]
-            ^ t[14][usize::from((lo >> 8) as u8)]
-            ^ t[13][usize::from((lo >> 16) as u8)]
-            ^ t[12][usize::from((lo >> 24) as u8)]
-            ^ t[11][usize::from(b[4])]
-            ^ t[10][usize::from(b[5])]
-            ^ t[9][usize::from(b[6])]
-            ^ t[8][usize::from(b[7])]
-            ^ t[7][usize::from(b[8])]
-            ^ t[6][usize::from(b[9])]
-            ^ t[5][usize::from(b[10])]
-            ^ t[4][usize::from(b[11])]
-            ^ t[3][usize::from(b[12])]
-            ^ t[2][usize::from(b[13])]
-            ^ t[1][usize::from(b[14])]
-            ^ t[0][usize::from(b[15])];
+        crc = crc32_block(crc, b);
     }
     for &b in blocks.remainder() {
-        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
+        crc = (crc >> 8) ^ CRC32_TABLES[0][usize::from(crc as u8 ^ b)];
     }
-    !crc
+    crc
+}
+
+/// The CRC-32 of `a‖b` from `crc32(a)`, `crc32(b)` and `b`'s length, as
+/// zlib's `crc32_combine` computes it. Feeding `len_b` more bytes into a
+/// register multiplies it by x^(8·len_b) modulo the polynomial; the
+/// initial value and final XOR of the two CRCs cancel.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    crc32_mul(crc32_x8n(len_b), crc_a) ^ crc_b
+}
+
+/// `a · b` modulo the CRC polynomial, on the reflected registers (bit 31
+/// holds the x^0 coefficient).
+fn crc32_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        bit >>= 1;
+        b = (b >> 1) ^ (CRC32_POLY & (b & 1).wrapping_neg());
+    }
+    product
+}
+
+/// x^(8·n) modulo the CRC polynomial, by square-and-multiply: what `n`
+/// zero bytes do to a register.
+fn crc32_x8n(mut n: usize) -> u32 {
+    let mut power = 1u32 << 31; // x^0
+    let mut square = 1u32 << 23; // x^8
+    while n != 0 {
+        if n & 1 != 0 {
+            power = crc32_mul(power, square);
+        }
+        square = crc32_mul(square, square);
+        n >>= 1;
+    }
+    power
 }
 
 /// Bounds-checked reader over a snapshot byte slice.
@@ -380,14 +449,31 @@ impl<'a> SnapReader<'a> {
         self.take(n)
     }
 
-    /// Read a length-prefixed `f64` sequence into a `Vec`.
-    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, SnapError> {
+    /// Read a length-prefixed `f64` sequence in place: the values are
+    /// decoded as the returned iterator yields them, so a restore can
+    /// `extend` or overwrite the buffers its constructor already sized
+    /// instead of replacing them with fresh ones. The iterator knows its
+    /// length, for shape checks before anything is written.
+    pub fn get_f64_iter(&mut self) -> Result<impl ExactSizeIterator<Item = f64> + 'a, SnapError> {
         let n = self.get_len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_f64()?);
+        let bytes = self.take(n * 8)?;
+        Ok(bytes.chunks_exact(8).map(|b| {
+            f64::from_bits(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        }))
+    }
+
+    /// Read a length-prefixed `f64` sequence over `out`, which it must
+    /// fill exactly; any other length is [`SnapError::Corrupt`] with
+    /// `what`.
+    pub fn get_f64_exact(&mut self, out: &mut [f64], what: &'static str) -> Result<(), SnapError> {
+        let values = self.get_f64_iter()?;
+        if values.len() != out.len() {
+            return Err(SnapError::Corrupt(what));
         }
-        Ok(out)
+        for (o, v) in out.iter_mut().zip(values) {
+            *o = v;
+        }
+        Ok(())
     }
 
     /// Enter a nested frame written by [`SnapWriter::put_frame`]: returns a
@@ -476,10 +562,10 @@ mod tests {
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = SnapReader::new(&bytes[..cut]);
-            assert!(r.get_f64_vec().is_err(), "cut at {cut} should error");
+            assert!(r.get_f64_iter().is_err(), "cut at {cut} should error");
         }
         let mut ok = SnapReader::new(&bytes);
-        assert_eq!(ok.get_f64_vec().unwrap(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(ok.get_f64_iter().unwrap().collect::<Vec<_>>(), [1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -489,7 +575,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(
-            r.get_f64_vec(),
+            r.get_f64_iter(),
             Err(SnapError::Corrupt(_)) | Err(SnapError::UnexpectedEof)
         ));
     }
@@ -510,6 +596,28 @@ mod tests {
         inner.finish().unwrap();
         assert_eq!(r.get_u32().unwrap(), 2);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn crc32_combine_joins_the_crcs_of_two_halves() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let bytes: Vec<u8> = (0..5000).map(|_| next() as u8).collect();
+        for _ in 0..200 {
+            let len = (next() % 5001) as usize;
+            let cut = (next() % (len as u64 + 1)) as usize;
+            let (a, b) = bytes[..len].split_at(cut);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len()),
+                crc32(&bytes[..len]),
+                "split {cut} of {len}"
+            );
+        }
     }
 
     #[test]

@@ -436,14 +436,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Every start offset mod 16 puts a different split between the
-    /// 16-byte blocks and the byte-at-a-time tail.
+    /// 16-byte blocks and the byte-at-a-time tail. The prefixes of length
+    /// 64·k − 1, 64·k and 64·k + 1 straddle every point where the four
+    /// streams' quarters grow by one block.
     #[test]
     fn crc32_matches_the_bitwise_loop(bytes in prop::collection::vec(0u8..=255, 0..=2048)) {
         for start in 0..16 {
             let tail = &bytes[start.min(bytes.len())..];
             prop_assert_eq!(crc32(tail), crc32_bitwise(tail), "start {} of {}", start, bytes.len());
         }
+        for k in 1..=bytes.len() / 64 {
+            for len in [64 * k - 1, 64 * k, 64 * k + 1] {
+                let prefix = &bytes[..len.min(bytes.len())];
+                prop_assert_eq!(crc32(prefix), crc32_bitwise(prefix), "prefix of {}", len);
+            }
+        }
     }
+}
+
+#[test]
+fn crc32_matches_the_bitwise_loop_past_a_mebibyte() {
+    // 1 MiB plus an odd tail: the last stream ends in a partial block.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let bytes: Vec<u8> = (0..(1 << 20) + 37)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect();
+    assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
 }
 
 /// One write of a random snapshot layout: a scalar, a length-prefixed

@@ -226,12 +226,13 @@ impl Transform for DeltaTransform {
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let prev_t = r.get_opt_i64()?;
-        let prev = r.get_f64_vec()?;
-        if !prev.is_empty() && prev.len() != self.names.len() {
+        let prev = r.get_f64_iter()?;
+        if prev.len() != 0 && prev.len() != self.names.len() {
             return Err(SnapError::Corrupt("DeltaTransform prev width mismatch"));
         }
         self.prev_t = prev_t;
-        self.prev = prev;
+        self.prev.clear();
+        self.prev.extend(prev);
         Ok(())
     }
 }
@@ -588,19 +589,18 @@ impl Transform for CorrelationTransform {
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.cadence.read_state(r)?;
         self.kernel.read_state(r)?;
-        let prev_t = r.get_opt_i64()?;
-        let prev_row = r.get_f64_vec()?;
-        if !prev_row.is_empty() && prev_row.len() != self.pairs.n_signals() {
+        self.prev_t = r.get_opt_i64()?;
+        let prev_row = r.get_f64_iter()?;
+        if prev_row.len() != 0 && prev_row.len() != self.pairs.n_signals() {
             return Err(SnapError::Corrupt("CorrelationTransform prev_row width mismatch"));
         }
+        self.prev_row.clear();
+        self.prev_row.extend(prev_row);
         let n_flags = r.get_len(1)?;
-        let mut flags = VecDeque::with_capacity(n_flags);
+        self.diff_flags.clear();
         for _ in 0..n_flags {
-            flags.push_back(r.get_bool()?);
+            self.diff_flags.push_back(r.get_bool()?);
         }
-        self.prev_t = prev_t;
-        self.prev_row = prev_row;
-        self.diff_flags = flags;
         Ok(())
     }
 }

@@ -44,11 +44,8 @@ fn main() {
     );
 
     // 4. Fit on the first stretch (the reference profile), score the rest.
-    let mut detector = DetectorKind::ClosestPair.build(
-        features.width(),
-        features.names(),
-        &DetectorParams::default(),
-    );
+    let mut detector =
+        DetectorKind::ClosestPair.build(features.width(), &DetectorParams::default());
     let ref_len = (features.len() / 3).max(8);
     let mut profile = ReferenceProfile::new(features.width(), ref_len);
     for i in 0..ref_len {

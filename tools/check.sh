@@ -48,13 +48,19 @@ refused() {
     exit 1
   }
 }
-# One flipped payload byte in the middle must fail the checksum.
-cp "$CK_DIR/ck.bin" "$CK_DIR/flipped.bin"
-MID=$(( $(wc -c < "$CK_DIR/flipped.bin") / 2 ))
-BYTE=$(od -An -tu1 -j "$MID" -N1 "$CK_DIR/flipped.bin" | tr -d ' ')
-printf "\\$(printf '%03o' $(( BYTE ^ 0xFF )))" \
-  | dd of="$CK_DIR/flipped.bin" bs=1 seek="$MID" count=1 conv=notrunc 2> /dev/null
-refused "$CK_DIR/flipped.bin" 'checkpoint checksum mismatch'
+# One flipped payload byte must fail the checksum wherever it sits. The
+# CRC-32 folds the payload's four quarters as four streams, so flip the
+# middle of each quarter, the middle of the file and the last payload
+# byte before the 4-byte trailer.
+PAYLOAD=$(( $(wc -c < "$CK_DIR/ck.bin") - 4 ))
+for AT in $(( PAYLOAD / 8 )) $(( 3 * PAYLOAD / 8 )) $(( (PAYLOAD + 4) / 2 )) \
+          $(( 5 * PAYLOAD / 8 )) $(( 7 * PAYLOAD / 8 )) $(( PAYLOAD - 1 )); do
+  cp "$CK_DIR/ck.bin" "$CK_DIR/flipped.bin"
+  BYTE=$(od -An -tu1 -j "$AT" -N1 "$CK_DIR/flipped.bin" | tr -d ' ')
+  printf "\\$(printf '%03o' $(( BYTE ^ 0xFF )))" \
+    | dd of="$CK_DIR/flipped.bin" bs=1 seek="$AT" count=1 conv=notrunc 2> /dev/null
+  refused "$CK_DIR/flipped.bin" 'checkpoint checksum mismatch'
+done
 # A version-skewed checkpoint must be refused with the named error.
 printf '\x09' | dd of="$CK_DIR/ck.bin" bs=1 seek=28 count=1 conv=notrunc 2> /dev/null
 refused "$CK_DIR/ck.bin" 'snapshot version mismatch'
